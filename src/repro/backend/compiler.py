@@ -584,7 +584,9 @@ class CompileService:
             if job._future is not None:
                 if self.queue.cancel(job._future):
                     job._flow_done.set()
-        self.jobs = [j for j in self.jobs if j.delivered]
+        # Delivered jobs are dropped too: the per-window poll scans only
+        # the jobs of the running program.
+        self.jobs = []
 
     def completed(self, now_s: float) -> List[CompileJob]:
         """Jobs — successful *and* failed — that have finished since

@@ -16,8 +16,7 @@ supports the two optimisations that matter for performance:
 
 from __future__ import annotations
 
-import re
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..common.bits import Bits
 from ..core.abi import HARDWARE, SOFTWARE, CollectedTasks, Engine, \
@@ -25,13 +24,9 @@ from ..core.abi import HARDWARE, SOFTWARE, CollectedTasks, Engine, \
 from ..interp.fmt import format_display
 from ..ir.build import Subprogram
 from ..verilog.elaborate import Design
-from .pycompile import CompiledDesign
+from .pycompile import CompiledDesign, attr_name
 
 __all__ = ["HardwareEngine", "FastSoftwareEngine"]
-
-
-def _attr(name: str) -> str:
-    return "v_" + re.sub(r"\W", "_", name)
 
 
 class HardwareEngine(CollectedTasks, Engine):
@@ -46,14 +41,20 @@ class HardwareEngine(CollectedTasks, Engine):
         self.design: Design = compiled.design
         self.model = compiled.instantiate()
         self._events = 0
-        self._out_last: Dict[str, int] = {}
-        self._outputs = [(v.name, v.width, v.signed)
+        #: Variable -> (model attribute, width mask, width, signed),
+        #: resolved once so no data-plane call mangles a name.
+        self._ports: Dict[str, Tuple[str, int, int, bool]] = {
+            v.name: (attr_name(v.name), (1 << v.width) - 1, v.width, v.signed)
+            for v in self.design.vars.values()}
+        self._outputs = [(v.name, attr_name(v.name))
                          for v in self.design.vars.values()
                          if v.direction == "output"]
-        for name, _, _ in self._outputs:
-            self._out_last[name] = getattr(self.model, _attr(name))
+        self._out_last: Dict[str, int] = {
+            name: getattr(self.model, attr) for name, attr in self._outputs}
         # Forwarding state.
         self.inner: List[Engine] = []
+        #: Absorbed engines that have events of their own to run.
+        self._inner_events: List[Engine] = []
         self._to_inner: List[Tuple[str, Engine, str]] = []
         self._from_inner: List[Tuple[Engine, str, str, int]] = []
         self.clock_engine: Optional[Engine] = None
@@ -73,10 +74,10 @@ class HardwareEngine(CollectedTasks, Engine):
             if var.is_array:
                 state[var.name] = [Bits.from_int(w, var.width, var.signed)
                                    for w in getattr(self.model,
-                                                    _attr(var.name))]
+                                                    attr_name(var.name))]
             else:
                 state[var.name] = Bits.from_int(
-                    getattr(self.model, _attr(var.name)), var.width,
+                    getattr(self.model, attr_name(var.name)), var.width,
                     var.signed)
         return state
 
@@ -86,20 +87,21 @@ class HardwareEngine(CollectedTasks, Engine):
             if var is None:
                 continue
             if var.is_array:
-                words = getattr(self.model, _attr(name))
+                words = getattr(self.model, attr_name(name))
                 for i, w in enumerate(list(value)[:len(words)]):
                     words[i] = w.to_int_xz(0) if isinstance(w, Bits) \
                         else int(w)
-                setattr(self.model, "g_" + _attr(name),
-                        getattr(self.model, "g_" + _attr(name)) + 1)
+                setattr(self.model, "g_" + attr_name(name),
+                        getattr(self.model, "g_" + attr_name(name)) + 1)
             else:
                 v = value.to_int_xz(0) if isinstance(value, Bits) \
                     else int(value)
-                setattr(self.model, _attr(name), v & ((1 << var.width) - 1))
-                shadow = "n_" + _attr(name)
+                setattr(self.model, attr_name(name),
+                        v & ((1 << var.width) - 1))
+                shadow = "n_" + attr_name(name)
                 if hasattr(self.model, shadow):
                     setattr(self.model, shadow,
-                            getattr(self.model, _attr(name)))
+                            getattr(self.model, attr_name(name)))
         self.model._dirty = True
 
     # ------------------------------------------------------------------
@@ -107,34 +109,39 @@ class HardwareEngine(CollectedTasks, Engine):
     # ------------------------------------------------------------------
     def write(self, port: str, value: Bits) -> None:
         self._events += 1
-        var = self.design.vars[port]
-        v = value.to_int_xz(0) & ((1 << var.width) - 1)
-        attr = _attr(port)
+        attr, mask, _, _ = self._ports[port]
+        v = value.to_int_xz(0) & mask
         if getattr(self.model, attr) != v:
             setattr(self.model, attr, v)
             self.model._dirty = True
 
     def read(self, port: str) -> Bits:
-        var = self.design.vars[port]
-        return Bits.from_int(getattr(self.model, _attr(port)), var.width,
-                             var.signed)
+        attr, _, width, signed = self._ports[port]
+        return Bits.from_int(getattr(self.model, attr), width, signed)
 
-    def drain_output_changes(self) -> Set[str]:
-        changed: Set[str] = set()
+    def drain_output_changes(self) -> Sequence[str]:
+        changed: Optional[List[str]] = None
         model = self.model
-        for name, _, _ in self._outputs:
-            cur = getattr(model, _attr(name))
-            if cur != self._out_last[name]:
-                self._out_last[name] = cur
-                changed.add(name)
-        return changed
+        last = self._out_last
+        for name, attr in self._outputs:
+            cur = getattr(model, attr)
+            if cur != last[name]:
+                last[name] = cur
+                if changed is None:
+                    changed = []
+                changed.append(name)
+        return changed or ()
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
     def there_are_evals(self) -> bool:
-        return self.model._dirty or any(
-            inner.there_are_evals() for inner in self.inner)
+        if self.model._dirty:
+            return True
+        for inner in self._inner_events:
+            if inner.there_are_evals():
+                return True
+        return False
 
     def evaluate(self) -> None:
         self._events += 1
@@ -144,13 +151,17 @@ class HardwareEngine(CollectedTasks, Engine):
         self._collect_tasks()
 
     def there_are_updates(self) -> bool:
-        return self.model._nba or any(
-            inner.there_are_updates() for inner in self.inner)
+        if self.model._nba:
+            return True
+        for inner in self._inner_events:
+            if inner.there_are_updates():
+                return True
+        return False
 
     def update(self) -> None:
         self._events += 1
         self.model.update()
-        for inner in self.inner:
+        for inner in self._inner_events:
             if inner.there_are_updates():
                 inner.update()
         if self.inner:
@@ -212,13 +223,14 @@ class HardwareEngine(CollectedTasks, Engine):
             my_port = my_nets.get(net)
             if my_port is None:
                 continue
-            attr = _attr(my_port)
+            attr, mask, _, _ = self._ports[my_port]
             if direction == "in":
                 self._to_inner.append((attr, inner, port))
             else:
-                width = self.design.vars[my_port].width
-                self._from_inner.append((inner, port, attr, width))
+                self._from_inner.append((inner, port, attr, mask))
         self.inner.append(inner)
+        if not inner.passive:
+            self._inner_events.append(inner)
         self._exchange()
 
     def _exchange(self) -> None:
@@ -227,17 +239,15 @@ class HardwareEngine(CollectedTasks, Engine):
         for _ in range(8):
             stable = True
             for attr, inner, port in self._to_inner:
-                value = getattr(model, attr)
-                if inner.peek_int(port) != value:
-                    inner.poke_int(port, value)
+                if inner.poke_int(port, getattr(model, attr)):
                     stable = False
-            for inner in self.inner:
+            for inner in self._inner_events:
                 if inner.there_are_evals():
                     inner.evaluate()
                 if inner.there_are_updates():
                     inner.update()
-            for inner, port, attr, width in self._from_inner:
-                value = inner.peek_int(port) & ((1 << width) - 1)
+            for inner, port, attr, mask in self._from_inner:
+                value = inner.peek_int(port) & mask
                 if getattr(model, attr) != value:
                     setattr(model, attr, value)
                     model._dirty = True
@@ -251,7 +261,7 @@ class HardwareEngine(CollectedTasks, Engine):
         engine toggles its own copy of the clock variable (Figure 10's
         ``_vars[0] <= _otick ? _vars[0]+1 : ...``)."""
         self.clock_engine = clock_engine
-        self.clock_attr = _attr(clock_port)
+        self.clock_attr = attr_name(clock_port)
 
     # ------------------------------------------------------------------
     # Open-loop scheduling (§4.4)
@@ -261,7 +271,7 @@ class HardwareEngine(CollectedTasks, Engine):
 
     def open_loop(self, clock_port: str, steps: int) -> int:
         model = self.model
-        attr = self.clock_attr or _attr(clock_port)
+        attr = self.clock_attr or attr_name(clock_port)
         done = 0
         clocked = [inner for inner in self.inner
                    if inner is not self.clock_engine
@@ -281,10 +291,9 @@ class HardwareEngine(CollectedTasks, Engine):
                 model._dirty = True
                 self._exchange()
                 model.evaluate()
-                while model._nba or any(i.there_are_updates()
-                                        for i in self.inner):
+                while self.there_are_updates():
                     model.update()
-                    for inner in self.inner:
+                    for inner in self._inner_events:
                         if inner.there_are_updates():
                             inner.update()
                     self._exchange()
@@ -340,9 +349,8 @@ class FastSoftwareEngine(HardwareEngine):
 
     def write(self, port: str, value: Bits) -> None:
         self._events += 1
-        var = self.design.vars[port]
-        v = value.to_int_xz(0) & ((1 << var.width) - 1)
-        attr = _attr(port)
+        attr, mask, _, _ = self._ports[port]
+        v = value.to_int_xz(0) & mask
         model = self.model
         old = getattr(model, attr)
         if old == v:
@@ -362,7 +370,7 @@ class FastSoftwareEngine(HardwareEngine):
         consumed."""
         model = self.model
         for sig in self.compiled.edge_signals:
-            attr = _attr(sig)
+            attr = attr_name(sig)
             setattr(model, "p_" + attr, getattr(model, attr))
 
     def supports_forwarding(self) -> bool:

@@ -19,6 +19,7 @@ the clock internally (``_oloop``).
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -28,9 +29,18 @@ from ..verilog import ast
 from ..verilog.elaborate import Design, Function, Var
 from ..verilog.eval import natural_size
 from ..interp.engine import read_set_of, read_set_of_lvalue_indices
+from ..verilog.visitor import walk
 from . import pyrt
 
-__all__ = ["CompiledDesign", "compile_design"]
+__all__ = ["CompiledDesign", "compile_design", "attr_name"]
+
+_NON_WORD = re.compile(r"\W")
+#: Generated code made only of integer literals, operators and pyrt
+#: helpers: a constant, folded at codegen time.
+_CONST_CODE = re.compile(
+    r"(?:[\d\s()+\-*/%<>=!&|^~,]|\b(?:if|else|and|or|not)\b|pyrt\.\w+)+")
+#: Argument code cheap enough to repeat when a function is inlined.
+_SIMPLE_ARG = re.compile(r"\(?(?:\d+|self\.\w+(?:\[\d+\])?|[al]_\w+)\)?")
 
 _ARITH = {"+": "+", "-": "-", "*": "*"}
 _BITWISE = {"&": "&", "|": "|", "^": "^"}
@@ -40,6 +50,33 @@ _COMPARE = {"==": "==", "!=": "!=", "===": "==", "!==": "!=",
 
 def _mask(width: int) -> int:
     return (1 << width) - 1
+
+
+def _fold(code: str) -> str:
+    """``code`` evaluated now when it is a constant expression."""
+    if code.isdigit() or not _CONST_CODE.fullmatch(code):
+        return code
+    try:
+        value = int(eval(code, {"__builtins__": {}, "pyrt": pyrt}))
+    except Exception:  # e.g. malformed; keep the runtime expression
+        return code
+    return str(value) if value >= 0 else f"({value})"
+
+
+def _signed(code: str, width: int) -> str:
+    """Two's-complement reinterpretation of ``width``-bit code, inline
+    (equal to ``pyrt.to_signed`` for every non-negative int)."""
+    sign = 1 << (width - 1)
+    return _fold(f"((({code}) ^ {sign}) - {sign})")
+
+
+def _const(code: str) -> Optional[int]:
+    """The value of folded constant code, else None."""
+    if code.isdigit():
+        return int(code)
+    if code.startswith("(-") and code[2:-1].isdigit():
+        return -int(code[2:-1])
+    return None
 
 
 class CompiledDesign:
@@ -140,8 +177,10 @@ class _WidthScope:
         raise SynthesisError(f"{name} cannot be synthesized")
 
 
-def _attr(name: str) -> str:
-    return "v_" + re.sub(r"\W", "_", name)
+@functools.lru_cache(maxsize=4096)
+def attr_name(name: str) -> str:
+    """The model attribute holding Verilog variable ``name``."""
+    return "v_" + _NON_WORD.sub("_", name)
 
 
 class _Emitter:
@@ -186,8 +225,19 @@ class _ExprCompiler:
         return self._ctx(expr, ctx, signed), ctx, signed
 
     def condition(self, expr: ast.Expr) -> str:
+        """A Python truth expression for ``expr != 0``: comparisons and
+        logical operators stay booleans instead of 0/1 round trips."""
+        if isinstance(expr, ast.Unary) and expr.op == "!":
+            return f"(not {self.condition(expr.operand)})"
+        if isinstance(expr, ast.Binary):
+            if expr.op in ("&&", "||"):
+                py = "and" if expr.op == "&&" else "or"
+                return (f"({self.condition(expr.lhs)} {py} "
+                        f"{self.condition(expr.rhs)})")
+            if expr.op in _COMPARE:
+                return self._compare(expr)
         code, _, _ = self.rvalue(expr)
-        return f"({code}) != 0"
+        return f"(({code}) != 0)"
 
     # -- helpers -----------------------------------------------------------
     def _read(self, name: str) -> Tuple[str, int, bool]:
@@ -195,7 +245,7 @@ class _ExprCompiler:
             w, s = self.scope.frames[name]
             return self.frame[name], w, s
         var = self.c.design.vars[name]
-        return f"self.{_attr(name)}", var.width, var.signed
+        return f"self.{attr_name(name)}", var.width, var.signed
 
     def _coerce(self, code: str, from_w: int, from_signed_ok: bool,
                 ctx: int, signed: bool) -> str:
@@ -207,16 +257,18 @@ class _ExprCompiler:
             return f"(({code}) & {_mask(ctx)})"
         if signed:
             # Sign-extend then re-mask.
-            return (f"((pyrt.to_signed({code}, {from_w})) & {_mask(ctx)})")
+            return f"(({_signed(code, from_w)}) & {_mask(ctx)})"
         return code  # zero extension is a no-op for unsigned ints
 
     def _signed_pair(self, lcode: str, rcode: str, ctx: int
                      ) -> Tuple[str, str]:
-        return (f"pyrt.to_signed({lcode}, {ctx})",
-                f"pyrt.to_signed({rcode}, {ctx})")
+        return _signed(lcode, ctx), _signed(rcode, ctx)
 
     # -- core ---------------------------------------------------------------
     def _ctx(self, expr: ast.Expr, ctx: int, signed: bool) -> str:
+        return _fold(self._ctx_code(expr, ctx, signed))
+
+    def _ctx_code(self, expr: ast.Expr, ctx: int, signed: bool) -> str:
         if isinstance(expr, ast.Number):
             value = expr.value.to_int_xz(0) & _mask(expr.value.width)
             if expr.value.signed and ctx > expr.value.width:
@@ -242,7 +294,7 @@ class _ExprCompiler:
             cond = self.condition(expr.cond)
             then = self._ctx(expr.then, ctx, signed)
             els = self._ctx(expr.els, ctx, signed)
-            return f"(({then}) if ({cond}) else ({els}))"
+            return f"(({then}) if {cond} else ({els}))"
         if isinstance(expr, ast.Concat):
             return self._concat(expr, ctx)
         if isinstance(expr, ast.Repeat):
@@ -264,24 +316,32 @@ class _ExprCompiler:
             var = self.c.design.vars[base.name]
             nwords, msb, lsb = var.array
             lo = min(msb, lsb)
-            arr = f"self.{_attr(base.name)}"
-            return (f"({arr}[(({idx_code}) - {lo})] "
-                    f"if 0 <= (({idx_code}) - {lo}) < {nwords} else 0)",
+            arr = f"self.{attr_name(base.name)}"
+            off = _fold(f"(({idx_code}) - {lo})") if lo else idx_code
+            k = _const(off)
+            if k is not None:
+                return (f"{arr}[{k}]" if 0 <= k < nwords else "0",
+                        var.width)
+            return (f"({arr}[{off}] if 0 <= {off} < {nwords} else 0)",
                     var.width)
         if isinstance(base, ast.Ident):
             code, w, _ = self._read(base.name)
             msb, lsb = self.scope.range_of(base.name)
             offset = self._offset_code(idx_code, msb, lsb)
-            return (f"((({code}) >> ({offset})) & 1 "
-                    f"if 0 <= ({offset}) < {w} else 0)", 1)
-        code, w, _ = self.rvalue(base)
-        return (f"((({code}) >> ({idx_code})) & 1 "
-                f"if 0 <= ({idx_code}) < {w} else 0)", 1)
+        else:
+            code, w, _ = self.rvalue(base)
+            offset = idx_code
+        k = _const(offset)
+        if k is not None:
+            return (f"((({code}) >> {k}) & 1)" if 0 <= k < w else "0", 1)
+        return (f"((({code}) >> ({offset})) & 1 "
+                f"if 0 <= ({offset}) < {w} else 0)", 1)
 
     def _offset_code(self, idx_code: str, msb: int, lsb: int) -> str:
         if msb >= lsb:
-            return f"(({idx_code}) - {lsb})" if lsb else f"({idx_code})"
-        return f"({lsb} - ({idx_code}))"
+            return _fold(f"(({idx_code}) - {lsb})") if lsb \
+                else idx_code
+        return _fold(f"({lsb} - ({idx_code}))")
 
     def _range(self, expr: ast.RangeExpr) -> Tuple[str, int]:
         base = expr.base
@@ -305,19 +365,26 @@ class _ExprCompiler:
             return (f"((({code}) >> {lo}) & {_mask(width)})", width)
         width = _const_int(expr.right)
         start_code, _, _ = self.rvalue(expr.left)
-        off = self._offset_code(start_code, msb, lsb)
-        if expr.mode == "+:":
-            lo_code = off if descending else f"(({off}) - {width - 1})"
-        else:
-            lo_code = f"(({off}) - {width - 1})" if descending else off
+        lo_code = self._part_lo(start_code, msb, lsb, width, expr.mode)
+        k = _const(lo_code)
+        if k is not None:
+            return (f"((({code}) >> {k}) & {_mask(width)})" if k >= 0
+                    else "0", width)
         return (f"((({code}) >> ({lo_code})) & {_mask(width)} "
                 f"if ({lo_code}) >= 0 else 0)", width)
+
+    def _part_lo(self, start_code: str, msb: int, lsb: int, width: int,
+                 mode: str) -> str:
+        """Bit offset of the low end of an indexed part-select."""
+        off = self._offset_code(start_code, msb, lsb)
+        if (mode == "+:") == (msb >= lsb):
+            return off
+        return _fold(f"(({off}) - {width - 1})")
 
     def _unary(self, expr: ast.Unary, ctx: int, signed: bool) -> str:
         op = expr.op
         if op == "!":
-            inner, _, _ = self.rvalue(expr.operand)
-            return f"(0 if ({inner}) else 1)"
+            return f"(0 if {self.condition(expr.operand)} else 1)"
         if op in ("&", "~&", "|", "~|", "^", "~^", "^~"):
             inner, w, _ = self.rvalue(expr.operand)
             if op == "&":
@@ -340,38 +407,37 @@ class _ExprCompiler:
             return operand
         raise SynthesisError(f"unknown unary operator {op!r}")
 
+    def _compare(self, expr: ast.Binary) -> str:
+        """A comparison as a Python boolean expression."""
+        lw, ls = natural_size(expr.lhs, self.scope)
+        rw, rs = natural_size(expr.rhs, self.scope)
+        w = max(lw, rw)
+        s = ls and rs
+        l = self._ctx(expr.lhs, w, s)
+        r = self._ctx(expr.rhs, w, s)
+        if s and expr.op in ("<", "<=", ">", ">="):
+            # Flipping the sign bit maps signed order onto unsigned.
+            sign = 1 << (w - 1)
+            l, r = _fold(f"(({l}) ^ {sign})"), _fold(f"(({r}) ^ {sign})")
+        return f"(({l}) {_COMPARE[expr.op]} ({r}))"
+
     def _binary(self, expr: ast.Binary, ctx: int, signed: bool) -> str:
         op = expr.op
-        if op in ("&&", "||"):
-            l, _, _ = self.rvalue(expr.lhs)
-            r, _, _ = self.rvalue(expr.rhs)
-            py = "and" if op == "&&" else "or"
-            return f"(1 if ((({l}) != 0) {py} (({r}) != 0)) else 0)"
-        if op in _COMPARE:
-            lw, ls = natural_size(expr.lhs, self.scope)
-            rw, rs = natural_size(expr.rhs, self.scope)
-            w = max(lw, rw)
-            s = ls and rs
-            l = self._ctx(expr.lhs, w, s)
-            r = self._ctx(expr.rhs, w, s)
-            if s and op in ("<", "<=", ">", ">="):
-                l, r = self._signed_pair(l, r, w)
-            return f"(1 if ({l}) {_COMPARE[op]} ({r}) else 0)"
-        if op in ("<<", "<<<"):
+        if op in ("&&", "||") or op in _COMPARE:
+            return f"(1 if {self.condition(expr)} else 0)"
+        if op in ("<<", "<<<", ">>") or (op == ">>>" and not signed):
             l = self._ctx(expr.lhs, ctx, signed)
             r, _, _ = self.rvalue(expr.rhs)
-            return (f"(((({l}) << ({r})) & {_mask(ctx)}) "
-                    f"if ({r}) < {ctx} else 0)")
-        if op == ">>":
-            l = self._ctx(expr.lhs, ctx, signed)
-            r, _, _ = self.rvalue(expr.rhs)
-            return f"((({l}) >> ({r})) if ({r}) < {ctx} else 0)"
+            shifted = f"(({l}) << ({r})) & {_mask(ctx)}" \
+                if op in ("<<", "<<<") else f"({l}) >> ({r})"
+            k = _const(r)
+            if k is not None:
+                return f"({shifted})" if k < ctx else "0"
+            return f"(({shifted}) if ({r}) < {ctx} else 0)"
         if op == ">>>":
             l = self._ctx(expr.lhs, ctx, signed)
             r, _, _ = self.rvalue(expr.rhs)
-            if signed:
-                return f"pyrt.ashr({l}, {r}, {ctx})"
-            return f"((({l}) >> ({r})) if ({r}) < {ctx} else 0)"
+            return f"pyrt.ashr({l}, {r}, {ctx})"
         if op == "**":
             l = self._ctx(expr.lhs, ctx, signed)
             r, _, _ = self.rvalue(expr.rhs)
@@ -405,9 +471,17 @@ class _ExprCompiler:
             compiled.append((code, w))
             total += w
         shift = total
+        constant = 0
         for code, w in compiled:
             shift -= w
-            parts.append(f"(({code}) << {shift})" if shift else f"({code})")
+            k = _const(code)
+            if k is not None:
+                constant |= (k & _mask(w)) << shift
+            else:
+                parts.append(f"(({code}) << {shift})" if shift
+                             else f"({code})")
+        if constant or not parts:
+            parts.append(str(constant))
         joined = " | ".join(parts)
         return self._coerce(f"({joined})", total, False, ctx, False)
 
@@ -432,9 +506,36 @@ class _ExprCompiler:
         for arg, (_, w, s) in zip(expr.args, fn.ports):
             args.append(self._ctx(arg, w, s) if natural_size(
                 arg, self.scope)[0] <= w else
-                f"(({self._ctx(arg, w, s)}) & {_mask(w)})")
-        call = f"self.{self.c.function_name(name)}(" + ", ".join(args) + ")"
+                _fold(f"(({self._ctx(arg, w, s)}) & {_mask(w)})"))
+        body = self.c.inline_body(fn)
+        if body is not None and all(_SIMPLE_ARG.fullmatch(a) for a in args):
+            # A pure single-expression function: substitute the
+            # arguments into its expression instead of calling it.
+            inner = _ExprCompiler(
+                self.c, {p: a for (p, _, _), a in zip(fn.ports, args)},
+                {p: (w, s) for p, w, s in fn.ports})
+            code, body_w, _ = inner.rvalue(body, fn.ret_width)
+            call = _fold(f"(({code}) & {_mask(fn.ret_width)})") \
+                if body_w > fn.ret_width else code
+        else:
+            call = f"self.{self.c.function_name(name)}(" \
+                + ", ".join(args) + ")"
         return self._coerce(call, fn.ret_width, fn.ret_signed, ctx, signed)
+
+
+def _lvalue_names(lhs: ast.Expr) -> List[str]:
+    """The variables an l-value writes."""
+    out = []
+    stack = [lhs]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Ident):
+            out.append(node.name)
+        elif isinstance(node, (ast.IndexExpr, ast.RangeExpr)):
+            stack.append(node.base)
+        elif isinstance(node, ast.Concat):
+            stack.extend(node.parts)
+    return out
 
 
 def _const_int(expr: ast.Expr) -> int:
@@ -450,11 +551,15 @@ class _StmtCompiler:
     """Compiles statements inside always blocks (and functions)."""
 
     def __init__(self, compiler: "_DesignCompiler", emitter: _Emitter,
-                 exprs: _ExprCompiler, nba_allowed: bool = True):
+                 exprs: _ExprCompiler, nba_allowed: bool = True,
+                 resettle: Optional[Set[str]] = None):
         self.c = compiler
         self.e = emitter
         self.x = exprs
         self.nba_allowed = nba_allowed
+        #: Variables whose blocking write must raise the dirty flag so
+        #: combinational logic resettles; None means every variable.
+        self.resettle = resettle
         self._tmp = 0
 
     def tmp(self) -> str:
@@ -511,9 +616,20 @@ class _StmtCompiler:
         from ..verilog.eval import assign_target_width
         width = assign_target_width(lhs, self.x.scope)
         code, ctx, _ = self.x.rvalue(rhs, width)
-        tmp = self.tmp()
-        self.e.emit(indent, f"{tmp} = {code}")
-        self._store(lhs, tmp, ctx, indent, blocking)
+        if isinstance(lhs, ast.Ident):
+            self._store_ident(lhs.name, code, ctx, indent, blocking)
+            return
+        if isinstance(lhs, ast.Concat) or not _SIMPLE_ARG.fullmatch(code):
+            # A concatenation target is stored part by part: read the
+            # value once, before any part is written.
+            tmp = self.tmp()
+            self.e.emit(indent, f"{tmp} = {code}")
+            code = tmp
+        self._store(lhs, code, ctx, indent, blocking)
+
+    def _mark_written(self, name: str, indent: int) -> None:
+        if self.resettle is None or name in self.resettle:
+            self.e.emit(indent, "self._dirty = True")
 
     def _store(self, lhs: ast.Expr, value: str, value_w: int, indent: int,
                blocking: bool) -> None:
@@ -538,7 +654,8 @@ class _StmtCompiler:
             idx, _, _ = self.x.rvalue(lhs.index)
             if base.name not in self.x.frame and \
                     self.x.scope.is_array(base.name):
-                self._store_word(base.name, idx, value, indent, blocking)
+                self._store_word(base.name, idx, value, value_w, indent,
+                                 blocking)
             else:
                 msb, lsb = self.x.scope.range_of(base.name)
                 off = self.x._offset_code(idx, msb, lsb)
@@ -563,13 +680,7 @@ class _StmtCompiler:
             else:
                 width = _const_int(lhs.right)
                 start, _, _ = self.x.rvalue(lhs.left)
-                off = self.x._offset_code(start, msb, lsb)
-                if lhs.mode == "+:":
-                    lo_code = off if descending \
-                        else f"(({off}) - {width - 1})"
-                else:
-                    lo_code = f"(({off}) - {width - 1})" if descending \
-                        else off
+                lo_code = self.x._part_lo(start, msb, lsb, width, lhs.mode)
                 self._store_bits(base.name, lo_code, width, value, indent,
                                  blocking)
             return
@@ -579,9 +690,9 @@ class _StmtCompiler:
         if name in self.x.frame:
             return self.x.frame[name]
         if blocking:
-            return f"self.{_attr(name)}"
+            return f"self.{attr_name(name)}"
         self.c.nba_targets.add(name)
-        return f"self.n_{_attr(name)}"
+        return f"self.n_{attr_name(name)}"
 
     def _store_ident(self, name: str, value: str, value_w: int,
                      indent: int, blocking: bool) -> None:
@@ -592,39 +703,51 @@ class _StmtCompiler:
             return
         var = self.c.design.vars[name]
         target = self._target(name, blocking)
-        code = f"(({value}) & {_mask(var.width)})" \
+        code = _fold(f"(({value}) & {_mask(var.width)})") \
             if value_w > var.width else value
         self.e.emit(indent, f"{target} = {code}")
         if blocking:
-            self.c.mark_written(name, self.e, indent)
+            self._mark_written(name, indent)
         else:
             self.e.emit(indent, "self._nba = True")
 
-    def _store_word(self, name: str, idx: str, value: str, indent: int,
-                    blocking: bool) -> None:
+    def _store_word(self, name: str, idx: str, value: str, value_w: int,
+                    indent: int, blocking: bool) -> None:
         var = self.c.design.vars[name]
         nwords, msb, lsb = var.array
         lo = min(msb, lsb)
-        off = self.tmp()
-        self.e.emit(indent, f"{off} = ({idx}) - {lo}")
-        self.e.emit(indent, f"if 0 <= {off} < {nwords}:")
-        masked = f"(({value}) & {_mask(var.width)})"
+        off = _fold(f"({idx}) - {lo}") if lo else idx
+        k = _const(off)
+        if k is None:
+            off_var = self.tmp()
+            self.e.emit(indent, f"{off_var} = {off}")
+            self.e.emit(indent, f"if 0 <= {off_var} < {nwords}:")
+            off = off_var
+            indent += 1
+        elif not 0 <= k < nwords:
+            self.e.emit(indent, "pass")  # constant index out of range
+            return
+        masked = f"(({value}) & {_mask(var.width)})" \
+            if value_w > var.width else value
         if blocking:
             # Change-filtered like the interpreter's _set_word: a
             # same-value rewrite must not bump the generation counter,
             # or a self-sensitive comb block never settles.
+            self.e.emit(indent,
+                        f"if self.{attr_name(name)}[{off}] != {masked}:")
             self.e.emit(indent + 1,
-                        f"if self.{_attr(name)}[{off}] != {masked}:")
-            self.e.emit(indent + 2,
-                        f"self.{_attr(name)}[{off}] = {masked}")
-            self.e.emit(indent + 2, f"self.g_{_attr(name)} += 1")
-            self.c.mark_written(name, self.e, indent + 2)
+                        f"self.{attr_name(name)}[{off}] = {masked}")
+            self.e.emit(indent + 1, f"self.g_{attr_name(name)} += 1")
+            self._mark_written(name, indent + 1)
         else:
+            # The target word list and whether the change activates
+            # combinational logic are both known now.
             self.c.nba_array_targets.add(name)
-            self.e.emit(indent + 1,
-                        f"self._nba_words.append(('{name}', {off}, "
-                        f"{masked}))")
-            self.e.emit(indent + 1, "self._nba = True")
+            wake = name in self.c.comb_wake
+            self.e.emit(indent,
+                        f"self._nba_words.append((self.{attr_name(name)}, "
+                        f"{off}, {masked}, {wake}))")
+            self.e.emit(indent, "self._nba = True")
 
     def _store_bits(self, name: str, lo_code: str, width: int, value: str,
                     indent: int, blocking: bool) -> None:
@@ -635,18 +758,26 @@ class _StmtCompiler:
         else:
             w = var.width
             target = self._target(name, blocking)
-        lo = self.tmp()
-        self.e.emit(indent, f"{lo} = {lo_code}")
-        self.e.emit(indent, f"if 0 <= {lo} <= {w - width}:")
+        k = _const(lo_code)
+        if k is None:
+            lo = self.tmp()
+            self.e.emit(indent, f"{lo} = {lo_code}")
+            self.e.emit(indent, f"if 0 <= {lo} <= {w - width}:")
+            indent += 1
+        elif 0 <= k <= w - width:
+            lo = str(k)
+        else:
+            self.e.emit(indent, "pass")  # constant offset out of range
+            return
         self.e.emit(
-            indent + 1,
+            indent,
             f"{target} = ({target} & ~({_mask(width)} << {lo})) | "
             f"((({value}) & {_mask(width)}) << {lo})")
         if name not in self.x.frame:
             if blocking:
-                self.c.mark_written(name, self.e, indent + 1)
+                self._mark_written(name, indent)
             else:
-                self.e.emit(indent + 1, "self._nba = True")
+                self.e.emit(indent, "self._nba = True")
 
     # -- case ------------------------------------------------------------------
     def _case(self, stmt: ast.Case, indent: int) -> None:
@@ -728,22 +859,39 @@ class _DesignCompiler:
         self.class_name = class_name
         self.nba_targets: Set[str] = set()
         self.nba_array_targets: Set[str] = set()
-        self.comb_written: Dict[int, Set[str]] = {}
         self._fn_names: Dict[str, str] = {}
-        self._current_comb: Optional[int] = None
+        self._inline: Dict[str, Optional[ast.Expr]] = {}
 
     def function_name(self, name: str) -> str:
         if name not in self._fn_names:
-            self._fn_names[name] = "f_" + re.sub(r"\W", "_", name) \
+            self._fn_names[name] = "f_" + _NON_WORD.sub("_", name) \
                 + f"_{len(self._fn_names)}"
         return self._fn_names[name]
 
-    def mark_written(self, name: str, emitter: _Emitter,
-                     indent: int) -> None:
-        """Blocking writes inside comb blocks participate in the
-        fixpoint change detection; sequential blocking writes set the
-        dirty flag so combinational logic resettles."""
-        emitter.emit(indent, "self._dirty = True")
+    def inline_body(self, fn: Function) -> Optional[ast.Expr]:
+        """The expression of a pure single-expression function — one
+        assignment to its result that reads only its arguments — else
+        None."""
+        if fn.name not in self._inline:
+            self._inline[fn.name] = self._inline_body(fn)
+        return self._inline[fn.name]
+
+    @staticmethod
+    def _inline_body(fn: Function) -> Optional[ast.Expr]:
+        body = fn.body
+        while isinstance(body, ast.Block) and len(body.stmts) == 1:
+            body = body.stmts[0]
+        if fn.locals_ or not isinstance(body, ast.BlockingAssign) or \
+                not isinstance(body.lhs, ast.Ident) or \
+                body.lhs.name not in (fn.name, fn.name.split(".")[-1]):
+            return None
+        ports = {p for p, _, _ in fn.ports}
+        for node in walk(body.rhs):
+            if isinstance(node, ast.Ident) and node.name not in ports:
+                return None
+            if isinstance(node, ast.Call) and not node.name.startswith("$"):
+                return None
+        return body.rhs
 
     # ------------------------------------------------------------------
     def compile(self) -> CompiledDesign:
@@ -784,6 +932,18 @@ class _DesignCompiler:
                 if isinstance(item.expr, ast.Ident):
                     self.edge_wake.setdefault(
                         item.expr.name, set()).add(item.edge)
+        # What a sequential blocking write must resettle for: names that
+        # combinational logic (assigns, comb blocks, any function) or an
+        # edge test reads.  Other writes leave the settled comb network
+        # and every edge sample as they were.
+        self.settle_reads: Set[str] = set(self.edge_wake)
+        for assign in comb_assigns:
+            self.settle_reads |= read_set_of(assign.rhs)
+            self.settle_reads |= read_set_of_lvalue_indices(assign.lhs)
+        for block in comb_blocks:
+            self.settle_reads |= read_set_of(block.body)
+        for fn in design.functions.values():
+            self.settle_reads |= read_set_of(fn.body)
 
         e = _Emitter()
         e.emit(0, "from repro.backend import pyrt")
@@ -794,12 +954,6 @@ class _DesignCompiler:
         # also have activated on, so ABI-level call counts — and hence
         # virtual-time charges — match the interpreter bit for bit.
         e.emit(1, "_gate_wakes = False")
-        wake_arrays = sorted(
-            name for name in self.comb_wake
-            if design.vars.get(name) is not None
-            and design.vars[name].is_array)
-        e.emit(1, "_wake_arrays = frozenset((" +
-               ", ".join(repr(n) for n in wake_arrays) + "))")
 
         # Pre-scan for NBA targets so __init__ can declare shadows: we
         # compile bodies into a scratch emitter first.
@@ -836,7 +990,7 @@ class _DesignCompiler:
                    seq_blocks: List[ast.AlwaysBlock]) -> None:
         e.emit(1, "def __init__(self):")
         for var in self.design.vars.values():
-            attr = _attr(var.name)
+            attr = attr_name(var.name)
             if var.is_array:
                 nwords = var.array[0]
                 if var.init is not None:
@@ -849,12 +1003,12 @@ class _DesignCompiler:
                 init = var.init.to_int_xz(0) if var.init is not None else 0
                 e.emit(2, f"self.{attr} = {init}")
         for name in sorted(self.nba_targets):
-            attr = _attr(name)
+            attr = attr_name(name)
             e.emit(2, f"self.n_{attr} = self.{attr}")
         e.emit(2, "self._nba_words = []")
         # Previous samples for edge detection.
         for sig in self._edge_signal_names(seq_blocks):
-            e.emit(2, f"self.p_{_attr(sig)} = self.{_attr(sig)}")
+            e.emit(2, f"self.p_{attr_name(sig)} = self.{attr_name(sig)}")
         e.emit(2, "self._tasks = []")
         e.emit(2, "self._nba = False")
         e.emit(2, "self._dirty = True")
@@ -908,29 +1062,31 @@ class _DesignCompiler:
         e.blank()
 
     def _topo_sort_assigns(self, assigns: List[ast.ContinuousAssign]
-                           ) -> List[ast.ContinuousAssign]:
-        """Order continuous assigns so drivers precede readers; with an
-        acyclic comb network the fixpoint then converges in one pass
-        (plus one verification pass).  Cycles fall back to input order
-        and settle through extra passes."""
-        from ..verilog.visitor import walk as _walk
-
-        def lhs_names(a: ast.ContinuousAssign):
-            out = []
-            stack = [a.lhs]
-            while stack:
-                node = stack.pop()
-                if isinstance(node, ast.Ident):
-                    out.append(node.name)
-                elif isinstance(node, (ast.IndexExpr, ast.RangeExpr)):
-                    stack.append(node.base)
-                elif isinstance(node, ast.Concat):
-                    stack.extend(node.parts)
-            return out
+                           ) -> Tuple[List[ast.ContinuousAssign], bool]:
+        """Order continuous assigns so drivers precede readers, and say
+        whether that order is proven acyclic: then one pass in it
+        settles the network.  Reads include l-value indices and the
+        bodies of called functions; an assign reading what it writes
+        counts as a cycle.  Cycles fall back to input order and settle
+        through extra passes."""
+        def reads(a: ast.ContinuousAssign) -> List[str]:
+            names = [n.name for n in walk(a.rhs) if isinstance(n, ast.Ident)]
+            extra = read_set_of_lvalue_indices(a.lhs)
+            todo = [n.name for n in walk(a.rhs) if isinstance(n, ast.Call)]
+            seen: Set[str] = set()
+            while todo:
+                fn = self.design.functions.get(todo.pop())
+                if fn is None or fn.name in seen:
+                    continue
+                seen.add(fn.name)
+                extra |= read_set_of(fn.body)
+                todo.extend(n.name for n in walk(fn.body)
+                            if isinstance(n, ast.Call))
+            return names + sorted(extra - set(names))
 
         writers: Dict[str, List[int]] = {}
         for i, a in enumerate(assigns):
-            for name in lhs_names(a):
+            for name in _lvalue_names(a.lhs):
                 writers.setdefault(name, []).append(i)
         order: List[int] = []
         state = [0] * len(assigns)  # 0 new, 1 visiting, 2 done
@@ -944,50 +1100,47 @@ class _DesignCompiler:
                 cyclic = True
                 return
             state[i] = 1
-            for node in _walk(assigns[i].rhs):
-                if isinstance(node, ast.Ident):
-                    for j in writers.get(node.name, ()):
-                        if j != i:
-                            visit(j)
+            for name in reads(assigns[i]):
+                for j in writers.get(name, ()):
+                    if j != i:
+                        visit(j)
+                    else:
+                        cyclic = True
             state[i] = 2
             order.append(i)
 
         for i in range(len(assigns)):
             visit(i)
         if cyclic:
-            return assigns
-        return [assigns[i] for i in order]
+            return assigns, False
+        return [assigns[i] for i in order], True
 
     def _compile_comb(self, e: _Emitter,
                       assigns: List[ast.ContinuousAssign],
                       blocks: List[ast.AlwaysBlock]) -> None:
-        assigns = self._topo_sort_assigns(assigns)
+        assigns, acyclic = self._topo_sort_assigns(assigns)
         e.emit(1, "def _eval_comb(self):")
-        e.emit(2, "for _pass in range(128):")
-        e.emit(3, "self._dirty = False")
         exprs = _ExprCompiler(self)
         from ..verilog.eval import assign_target_width
+        if acyclic and not blocks:
+            # Drivers precede readers: one straight pass settles it.
+            stmts = _StmtCompiler(self, e, exprs, resettle=set())
+            for assign in assigns:
+                stmts._assign(assign.lhs, assign.rhs, 2, blocking=True)
+            e.emit(2, "self._dirty = False")
+            e.blank()
+            return
+        e.emit(2, "for _pass in range(128):")
+        e.emit(3, "self._dirty = False")
         for assign in assigns:
             width = assign_target_width(assign.lhs, exprs.scope)
             code, ctx, _ = exprs.rvalue(assign.rhs, width)
-            stmts = _StmtCompiler(self, e, exprs)
+            stmts = _StmtCompiler(self, e, exprs, resettle=set())
             tmp = stmts.tmp()
             e.emit(3, f"{tmp} = {code}")
             self._emit_comb_store(e, stmts, assign.lhs, tmp, ctx)
         for i, block in enumerate(blocks):
-            reads = sorted(read_set_of(block.body))
-            snap_parts = []
-            for name in reads:
-                var = self.design.vars.get(name)
-                if var is None:
-                    continue
-                if var.is_array:
-                    snap_parts.append(f"self.g_{_attr(name)}")
-                else:
-                    snap_parts.append(f"self.{_attr(name)}")
-            snap = "(" + ", ".join(snap_parts) + ("," if snap_parts else "")\
-                + ")"
-            e.emit(3, f"_snap{i} = {snap}")
+            e.emit(3, f"_snap{i} = {self._snapshot(read_set_of(block.body))}")
             e.emit(3, f"if _snap{i} != self._comb_snap{i}:")
             e.emit(4, f"self._comb_snap{i} = _snap{i}")
             e.emit(4, f"self._comb_blk{i}()")
@@ -1003,20 +1156,38 @@ class _DesignCompiler:
             stmts.compile(block.body, 2)
             e.blank()
 
+    def _snapshot(self, names) -> str:
+        """A tuple expression of the current values of ``names`` (an
+        array by its generation counter)."""
+        parts = []
+        for name in sorted(names):
+            var = self.design.vars.get(name)
+            if var is None:
+                continue
+            prefix = "g_" if var.is_array else ""
+            parts.append(f"self.{prefix}{attr_name(name)}")
+        return "(" + ", ".join(parts) + ("," if parts else "") + ")"
+
     def _emit_comb_store(self, e: _Emitter, stmts: "_StmtCompiler",
                          lhs: ast.Expr, tmp: str, ctx: int) -> None:
-        """Continuous assign store with change detection on full-var
-        targets (the common case) for fast fixpoint convergence."""
+        """Continuous assign store with change detection, so the
+        fixpoint converges: inline for full-variable targets (the
+        common case), by comparing the written variables for the
+        rest."""
         if isinstance(lhs, ast.Ident) and lhs.name in self.design.vars:
             var = self.design.vars[lhs.name]
-            attr = _attr(lhs.name)
+            attr = attr_name(lhs.name)
             code = f"(({tmp}) & {_mask(var.width)})" \
                 if ctx > var.width else tmp
             e.emit(3, f"if self.{attr} != ({code}):")
             e.emit(4, f"self.{attr} = {code}")
             e.emit(4, "self._dirty = True")
-        else:
-            stmts._store(lhs, tmp, ctx, 3, blocking=True)
+            return
+        snap = self._snapshot(_lvalue_names(lhs))
+        e.emit(3, f"_was = {snap}")
+        stmts._store(lhs, tmp, ctx, 3, blocking=True)
+        e.emit(3, f"if {snap} != _was:")
+        e.emit(4, "self._dirty = True")
 
     def _compile_seq(self, e: _Emitter,
                      blocks: List[ast.AlwaysBlock]) -> None:
@@ -1033,7 +1204,7 @@ class _DesignCompiler:
                 if not isinstance(item.expr, ast.Ident):
                     raise SynthesisError(
                         "edge expressions must be simple signals")
-                sig = _attr(item.expr.name)
+                sig = attr_name(item.expr.name)
                 cur = f"(self.{sig} & 1)"
                 prev = f"(self.p_{sig} & 1)"
                 if item.edge == "posedge":
@@ -1046,14 +1217,15 @@ class _DesignCompiler:
             e.emit(3, "fired = True")
             e.emit(3, f"self._seq_blk{i}()")
         for sig in self._edge_signal_names(blocks):
-            attr = _attr(sig)
+            attr = attr_name(sig)
             e.emit(2, f"self.p_{attr} = self.{attr}")
         e.emit(2, "return fired")
         e.blank()
         for i, block in enumerate(blocks):
             e.emit(1, f"def _seq_blk{i}(self):")
             exprs = _ExprCompiler(self)
-            stmts = _StmtCompiler(self, e, exprs)
+            stmts = _StmtCompiler(self, e, exprs,
+                                  resettle=self.settle_reads)
             stmts.compile(block.body, 2)
             e.blank()
 
@@ -1064,7 +1236,10 @@ class _DesignCompiler:
         e.emit(1, "def evaluate(self):")
         e.emit(2, "for _round in range(64):")
         e.emit(3, "self._eval_comb()")
-        e.emit(3, "if not self._seq():")
+        # Fired blocks that raised no dirty flag wrote only NBA shadows
+        # and variables nothing combinational or edge-sensitive reads:
+        # the network is still settled and no new edge can fire.
+        e.emit(3, "if not self._seq() or not self._dirty:")
         e.emit(4, "return")
         e.emit(2, "raise RuntimeError('evaluation did not converge')")
         e.blank()
@@ -1072,7 +1247,7 @@ class _DesignCompiler:
         e.emit(2, "changed = False")
         e.emit(2, "wake = False")
         for name in sorted(self.nba_targets):
-            attr = _attr(name)
+            attr = attr_name(name)
             e.emit(2, f"if self.{attr} != self.n_{attr}:")
             edges = self.edge_wake.get(name)
             if name in self.comb_wake:
@@ -1103,15 +1278,14 @@ class _DesignCompiler:
             e.emit(3, f"self.{attr} = self.n_{attr}")
             e.emit(3, "changed = True")
         e.emit(2, "if self._nba_words:")
-        e.emit(3, "for _name, _off, _val in self._nba_words:")
-        e.emit(4, "_arr = getattr(self, 'v_' + _name.replace('.', '_'))")
+        e.emit(3, "for _arr, _off, _val, _wake in self._nba_words:")
         e.emit(4, "if _arr[_off] != _val:")
         e.emit(5, "_arr[_off] = _val")
         e.emit(5, "changed = True")
-        e.emit(5, "if _name in self._wake_arrays:")
+        e.emit(5, "if _wake:")
         e.emit(6, "wake = True")
         for name in sorted(self.nba_array_targets):
-            e.emit(3, f"self.g_{_attr(name)} += 1")
+            e.emit(3, f"self.g_{attr_name(name)} += 1")
         e.emit(3, "self._nba_words = []")
         e.emit(2, "self._nba = False")
         e.emit(2, "if changed and (wake or not self._gate_wakes):")
@@ -1145,9 +1319,6 @@ class _DesignCompiler:
         e.emit(4, "break")
         e.emit(2, "return done")
         e.blank()
-
-    def comb_snap_defaults(self, count: int) -> None:
-        pass
 
 
 def compile_design(design: Design,

@@ -26,7 +26,7 @@ never see it.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Set
+from typing import Collection, Dict, List, Sequence
 
 from ..common.bits import Bits
 
@@ -62,6 +62,10 @@ class Engine(abc.ABC):
     #: determines their cost in the performance model.
     location: str = SOFTWARE
 
+    #: True when the engine never has evaluation or update events and
+    #: never queues tasks, so the scheduler need not poll it.
+    passive: bool = False
+
     # -- state migration (get_state / set_state) -------------------------
     @abc.abstractmethod
     def get_state(self) -> Dict[str, object]:
@@ -83,7 +87,7 @@ class Engine(abc.ABC):
         """Current value of an output port."""
 
     @abc.abstractmethod
-    def drain_output_changes(self) -> Set[str]:
+    def drain_output_changes(self) -> Collection[str]:
         """Output ports whose values changed since the last drain."""
 
     # -- scheduling (Figure 6) ---------------------------------------------
@@ -117,9 +121,9 @@ class Engine(abc.ABC):
         """Optional: called once at shutdown."""
 
     # -- unsynthesizable side effects (display / finish) --------------------
-    def drain_tasks(self) -> List[EngineTask]:
+    def drain_tasks(self) -> Sequence[EngineTask]:
         """Pending display/finish notifications for the runtime."""
-        return []
+        return ()
 
     # -- optimisations (forward / open_loop) ---------------------------------
     def supports_forwarding(self) -> bool:
@@ -161,7 +165,9 @@ class CollectedTasks:
     def push_finish(self, code: int = 0) -> None:
         self._tasks.append(EngineTask("finish", code=code))
 
-    def drain_tasks(self) -> List[EngineTask]:
+    def drain_tasks(self) -> Sequence[EngineTask]:
+        if not self._tasks:
+            return ()
         out, self._tasks = self._tasks, []
         return out
 

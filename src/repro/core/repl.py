@@ -178,7 +178,9 @@ class Repl:
             lines.append(
                 f"migrations: {rt.sw_migrations} sw-fast, "
                 f"{rt.hw_migrations} hardware; "
-                f"fast-path compile failures: {rt.fastpath_failures}")
+                f"fast-path compile failures: {rt.fastpath_failures}"
+                + (f" (last: {rt.last_fastpath_failure})"
+                   if rt.last_fastpath_failure else ""))
             # The merged-registry view: every registry in reach,
             # deduplicated by identity (DESIGN.md §4.7).
             merged = merge_registries(

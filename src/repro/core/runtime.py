@@ -50,6 +50,10 @@ __all__ = ["Runtime", "View"]
 _OLOOP_MIN = 256
 _OLOOP_REAL_CAP = 200_000   # max ticks actually executed per batch
 
+# How the scheduler charges one evaluate/update call of an engine,
+# resolved once per engine-set change (see Runtime._charge_call).
+_INTERPRETED, _FAST, _HARDWARE = range(3)
+
 
 class View:
     """Collects program output (the REPL's view component)."""
@@ -125,6 +129,8 @@ class Runtime:
         self._oloop_limit = _OLOOP_MIN
         self._oloop_exec_cap = _OLOOP_REAL_CAP
         self._open_loop_active = False
+        #: Generation of each fabric job the compile service holds (by
+        #: id); cleared with the service's jobs on every rebuild.
         self._job_generation: Dict[int, int] = {}
         #: Runtime counters live in the compile service's registry so
         #: one ``:stats`` snapshot covers the whole pipeline.
@@ -135,6 +141,8 @@ class Runtime:
             "runtime.sw_migrations")
         self._c_fastpath_failures = self.metrics.counter(
             "runtime.fastpath_failures")
+        #: Why the last fast-path compile or swap failed, for :stats.
+        self.last_fastpath_failure: Optional[str] = None
         #: Trace thread id for this runtime's events; the server's
         #: sessions relabel it so per-tenant lanes separate in the
         #: Chrome trace view.
@@ -146,7 +154,11 @@ class Runtime:
         # to fabric jobs) makes a stale model impossible to swap in.
         self._fast_jobs: Dict[str, Tuple[int, "Future"]] = {}
         self._fast_queue = shared_fast_queue()
-        self._engines_cache: Optional[List[Tuple[str, Engine]]] = None
+        #: The scheduled engines, rebuilt on every engine-set change:
+        #: the engines not absorbed, and [(route index, engine, charge
+        #: kind)] for those that are not passive.
+        self._engines_cache: Optional[Tuple[
+            List[Engine], List[Tuple[int, Engine, int]]]] = None
 
     # Historical counter attributes, now views over the registry.
     @property
@@ -291,7 +303,10 @@ class Runtime:
 
         # Restart the JIT for every user subprogram (§4.4: engines move
         # back to software and the process starts anew on modification).
+        # The service forgets every job here, delivered or not, so the
+        # generation map starts over with it.
         self.compiler.cancel_all()
+        self._job_generation.clear()
         # In-flight fast-path compiles target the *previous* generation
         # of the program: cancel what is still queued and drop the rest
         # — the generation guard in _poll_fastpath discards any result
@@ -354,19 +369,34 @@ class Runtime:
     # ------------------------------------------------------------------
     # The Figure 6 scheduler
     # ------------------------------------------------------------------
-    def _active_engines(self) -> List[Tuple[str, Engine]]:
+    def _active_engines(self) -> Tuple[List[Engine],
+                                       List[Tuple[int, Engine, int]]]:
         # Scheduler hot path: the engine set only changes on rebuild,
         # migration, forwarding or absorption, all of which clear the
-        # cache — everything else reuses this list.
+        # cache — everything else reuses these lists.
         cache = self._engines_cache
         if cache is None:
-            cache = [(name, e) for name, e in self.engines.items()
-                     if name not in self.absorbed]
+            active = [e for name, e in self.engines.items()
+                      if name not in self.absorbed]
+            # Passive engines never have events or tasks: the phase
+            # loop neither polls them nor drains their tasks.
+            polled = [(i, e, self._charge_kind(e))
+                      for i, e in enumerate(active) if not e.passive]
+            cache = (active, polled)
             self._engines_cache = cache
+            self.plane.bind(self.engines, self.absorbed)
         return cache
 
+    @staticmethod
+    def _charge_kind(engine: Engine) -> int:
+        if engine.location == HARDWARE:
+            return _HARDWARE
+        if isinstance(engine, FastSoftwareEngine):
+            return _FAST
+        return _INTERPRETED
+
     def _drain_tasks(self) -> None:
-        for name, engine in self._active_engines():
+        for _, engine, _ in self._active_engines()[1]:
             for task in engine.drain_tasks():
                 if task.kind == "display":
                     self.interrupts.push_display(task.text, task.newline)
@@ -374,41 +404,42 @@ class Runtime:
                     self.interrupts.push_finish(task.code)
 
     def _phase_loop(self) -> None:
-        """Drain evaluation/update events to an observable state."""
+        """Drain evaluation/update events to an observable state.
+
+        Engines only interact through the plane, so polling each engine
+        just before running it matches polling them all first; charges
+        stay one per call, in engine order."""
+        polled = self._active_engines()[1]
         plane = self.plane
-        assert plane is not None
+        dirty = plane.dirty
         for _ in range(100_000):
-            active = self._active_engines()
-            evals = [(n, e) for n, e in active if e.there_are_evals()]
-            if evals:
-                for name, engine in evals:
-                    self._charge_call(engine)
+            ran = False
+            for i, engine, kind in polled:
+                if engine.there_are_evals():
+                    self._charge_call(kind)
                     engine.evaluate()
-                plane.propagate(self.engines, self.absorbed)
-                self._drain_tasks()
-                continue
-            updates = [(n, e) for n, e in active
-                       if e.there_are_updates()]
-            if updates:
-                for name, engine in updates:
-                    self._charge_call(engine)
-                    engine.update()
-                plane.propagate(self.engines, self.absorbed)
-                self._drain_tasks()
-                continue
-            return
+                    dirty[i] = ran = True
+            if not ran:
+                for i, engine, kind in polled:
+                    if engine.there_are_updates():
+                        self._charge_call(kind)
+                        engine.update()
+                        dirty[i] = ran = True
+                if not ran:
+                    return
+            plane.propagate()
+            self._drain_tasks()
         raise CascadeError("scheduler did not reach an observable state")
 
-    def _charge_call(self, engine: Engine) -> None:
-        if engine.location == HARDWARE:
+    def _charge_call(self, kind: int) -> None:
+        if kind == _HARDWARE:
             self.time_model.charge_mmio()
             self.time_model.charge_hw_ticks(1)
         else:
             # The fast path is charged at software rates (by default the
             # interpreter's own rate — DESIGN.md §4.4) but tallied under
             # its own tier so :stats can show where events ran.
-            self.time_model.charge_sw_events(
-                1, fast=isinstance(engine, FastSoftwareEngine))
+            self.time_model.charge_sw_events(1, fast=kind == _FAST)
 
     def _window(self) -> None:
         """Between time steps: service interrupts, apply evals, poll the
@@ -426,12 +457,13 @@ class Runtime:
         self.iterations += 1
         self.time_model.charge_runtime()
         logical_time = self.iterations // 2
-        for name, engine in self._active_engines():
+        for engine in self._active_engines()[0]:
             engine.set_time(logical_time)
             engine.end_step()
-        if self.plane is not None:
-            self.plane.propagate(self.engines, self.absorbed)
-        if getattr(self, "_had_transients", False):
+        # end_step samples the board and host: any output may move.
+        self.plane.mark_all()
+        self.plane.propagate()
+        if self._had_transients:
             # The one-shot initial processes have now executed; rebuild
             # without them so the subprogram becomes synthesizable.
             self._had_transients = False
@@ -483,13 +515,28 @@ class Runtime:
             del self._fast_jobs[name]
             try:
                 compiled = future.result()
-            except Exception:
-                self._c_fastpath_failures.inc()
+            except Exception as exc:
+                self._fastpath_failed(name, "compile", exc)
                 continue
             try:
                 self._swap_to_fastpath(name, compiled)
-            except Exception:
-                self._c_fastpath_failures.inc()
+            except Exception as exc:
+                self._fastpath_failed(name, "swap", exc)
+
+    def _fastpath_failed(self, name: str, stage: str,
+                         exc: Exception) -> None:
+        """Count a fast-path failure and keep its reason (the engine
+        stays interpreted)."""
+        self._c_fastpath_failures.inc()
+        reason = f"{name} {stage}: {type(exc).__name__}: {exc}"
+        self.last_fastpath_failure = reason
+        tr = tracer()
+        if tr.enabled:
+            tr.emit("fastpath_failure", "runtime",
+                    virtual_ns=self.time_model.now_ns, tid=self.obs_tid,
+                    args={"engine": name, "stage": stage,
+                          "error": type(exc).__name__,
+                          "message": str(exc)})
 
     def _swap_to_fastpath(self, name: str, compiled) -> None:
         old = self.engines[name]
@@ -523,6 +570,7 @@ class Runtime:
                        f"software fast path")
 
     def _poll_jit(self) -> None:
+        landed = False
         for job in self.compiler.completed(self.time_model.now_seconds):
             if self._job_generation.get(id(job)) != self.generation:
                 continue
@@ -537,7 +585,10 @@ class Runtime:
                                f"(staying in software)")
                 continue
             self._swap_to_hardware(job)
-        self._maybe_enter_open_loop()
+            landed = True
+        if landed:
+            # Only a migration can make open loop possible.
+            self._maybe_enter_open_loop()
 
     def _swap_to_hardware(self, job) -> None:
         name = job.subprogram.name

@@ -10,7 +10,7 @@ performance model charges them fabric-side costs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Collection, Dict, List, Optional, Set
 
 from ..common.bits import Bits
 from ..ir.build import Subprogram
@@ -26,6 +26,7 @@ class StdlibEngine(CollectedTasks, Engine):
     """Common machinery: port values, change tracking, no-op scheduling."""
 
     location = HARDWARE
+    passive = True
 
     def __init__(self, subprogram: Subprogram, board: VirtualBoard):
         CollectedTasks.__init__(self)
@@ -33,12 +34,14 @@ class StdlibEngine(CollectedTasks, Engine):
         self.board = board
         self.ports: Dict[str, Bits] = {}
         self.widths: Dict[str, int] = {}
+        self._masks: Dict[str, int] = {}
         self._changed: Set[str] = set()
         self._events = 0
         self.time = 0
         for port in subprogram.module_ast.ports:
             width = _port_width(subprogram, port.name)
             self.widths[port.name] = width
+            self._masks[port.name] = (1 << width) - 1
             self.ports[port.name] = Bits.zeros(width)
 
     # -- helpers ----------------------------------------------------------
@@ -47,11 +50,10 @@ class StdlibEngine(CollectedTasks, Engine):
         return default if v is None else v.to_int_xz()
 
     def _set(self, port: str, value: int) -> None:
-        width = self.widths[port]
-        new = Bits.from_int(value, width)
+        value &= self._masks[port]
         old = self.ports[port]
-        if old.aval != new.aval or old.bval != new.bval:
-            self.ports[port] = new
+        if old.bval or old.aval != value:
+            self.ports[port] = Bits.from_int(value, self.widths[port])
             self._changed.add(port)
 
     # -- ABI ---------------------------------------------------------------
@@ -77,20 +79,24 @@ class StdlibEngine(CollectedTasks, Engine):
 
     # Integer fast paths used by hardware-engine forwarding, where the
     # exchange happens "in fabric" and Bits boxing would dominate.
-    def poke_int(self, port: str, value: int) -> None:
+    def poke_int(self, port: str, value: int) -> bool:
+        """Set an input port; True when its value changed."""
         old = self.ports[port]
-        masked = value & ((1 << self.widths[port]) - 1)
+        masked = value & self._masks[port]
         if old.bval == 0 and old.aval == masked:
-            return
+            return False
         v = Bits.from_int(masked, self.widths[port])
         self.ports[port] = v
         self.on_input(port, v)
+        return True
 
     def peek_int(self, port: str) -> int:
         v = self.ports[port]
         return v.aval & ~v.bval
 
-    def drain_output_changes(self) -> Set[str]:
+    def drain_output_changes(self) -> Collection[str]:
+        if not self._changed:
+            return ()
         out, self._changed = self._changed, set()
         return out
 
@@ -134,6 +140,8 @@ class ClockEngine(StdlibEngine):
     a single virtual tick."  The toggle is queued as an *update* so it
     lands in the update phase like any sequential assignment.
     """
+
+    passive = False
 
     def __init__(self, subprogram: Subprogram, board: VirtualBoard):
         super().__init__(subprogram, board)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.backend.compiler import CompileService
+from repro.core.repl import Repl
 from repro.core.runtime import Runtime
 
 
@@ -121,6 +122,23 @@ assign led.val = total[7:0];
             rt.eval_source(f"wire probe{k}; assign probe{k} = total[0];")
         rt.run(iterations=100)
         assert rt.hw_migrations >= 5
+
+    def test_long_session_keeps_jit_bookkeeping_bounded(self):
+        """Delivered jobs and their generation entries are dropped at
+        the next rebuild, so the per-window JIT poll scans only the
+        running program's jobs however long the session runs."""
+        rt = Runtime(compile_service=CompileService(latency_scale=0.0),
+                     enable_sw_fastpath=False)
+        repl = Repl(rt)
+        repl.feed("reg [7:0] total = 0; "
+                  "always @(posedge clk.val) total <= total + 1;")
+        for k in range(200):
+            repl.command(":run 4")
+            assert len(rt.compiler.jobs) <= 1
+            assert len(rt._job_generation) <= 1
+            repl.feed(f'$display("edit {k}");')
+        assert rt.hw_migrations >= 200
+        assert rt.output_lines[-1] == "edit 199"
 
     def test_generation_guard_drops_stale_compiles(self):
         """A compile finishing after the program changed must not be

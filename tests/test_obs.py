@@ -444,3 +444,32 @@ class TestEstimateFallbacks:
         clean_tracer.disable()
         assert service.stats()["estimate_fallbacks"] > 0
         assert "estimate_fallback" in clean_tracer.kinds()
+
+
+class TestFastPathFailureReason:
+    class _ExplodingQueue:
+        def submit(self, fn, *args, **kwargs):
+            fut = Future()
+            fut.set_exception(RuntimeError("codegen exploded"))
+            return fut
+
+        def cancel(self, future):
+            return False
+
+    def test_reason_traced_and_in_stats(self, clean_tracer):
+        rt = Runtime(compile_service=CompileService(latency_scale=1e9))
+        rt._fast_queue = self._ExplodingQueue()
+        repl = Repl(rt)
+        clean_tracer.enable()
+        repl.feed("reg [3:0] c = 0; always @(posedge clk.val) c <= c + 1;")
+        repl.command(":run 4")
+        clean_tracer.disable()
+        reason = "main compile: RuntimeError: codegen exploded"
+        assert rt.fastpath_failures == 1
+        assert rt.last_fastpath_failure == reason
+        events = [e for e in clean_tracer.events()
+                  if e.name == "fastpath_failure"]
+        assert [(e.args["engine"], e.args["stage"], e.args["error"],
+                 e.args["message"]) for e in events] == [
+            ("main", "compile", "RuntimeError", "codegen exploded")]
+        assert f"(last: {reason})" in repl.command(":stats")
