@@ -273,6 +273,7 @@ class CompileService:
         self._c_cache_hits = m.counter("compile.cache_hits")
         self._c_cache_misses = m.counter("compile.cache_misses")
         self._c_warm_starts = m.counter("compile.warm_starts")
+        self._c_flow_retries = m.counter("compile.flow_candidate_retries")
         self._c_cross_tenant = m.counter("compile.cross_tenant_hits")
         self._c_joins = m.counter("compile.single_flight_joins")
         # Per-phase host seconds: totals as counters (the historical
@@ -514,6 +515,7 @@ class CompileService:
                                   pool=self.flow_queue)
                 if report.placement.warm_started:
                     self._c_warm_starts.inc()
+                self._c_flow_retries.inc(len(report.candidate_retries))
                 for phase, seconds in sorted(
                         report.phase_seconds.items()):
                     # synth_s -> "synth" etc.; durations measured in
@@ -622,6 +624,7 @@ class CompileService:
             "single_flight_joins": self.single_flight_joins,
             "estimate_fallbacks":
                 int(self.metrics.value("estimate.fallbacks")),
+            "flow_candidate_retries": int(self._c_flow_retries.value),
             "in_flight": sum(1 for j in self.jobs
                              if not j.delivered and not j.host_done),
             "host_seconds": host,

@@ -23,6 +23,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Tuple
 
+from ..obs import tracer
 from ..verilog.elaborate import Design
 from .fabric import Device, device_for
 from .netlist import Netlist
@@ -41,7 +42,8 @@ class FlowReport:
                  placement: Placement, routing: RoutingResult,
                  timing: TimingReport, device: Device,
                  wall_seconds: float, starts: int = 1,
-                 phase_seconds: Optional[Dict[str, float]] = None):
+                 phase_seconds: Optional[Dict[str, float]] = None,
+                 candidate_retries: Optional[List[str]] = None):
         self.design = design
         self.netlist = netlist
         self.placement = placement
@@ -56,6 +58,9 @@ class FlowReport:
         #: candidate's worker, so the numbers are true even when the
         #: work ran in a flow-lane process).
         self.phase_seconds: Dict[str, float] = dict(phase_seconds or {})
+        #: One ``"seed N: ExcType: message"`` per candidate whose pool
+        #: future failed and was recomputed inline.
+        self.candidate_retries: List[str] = list(candidate_retries or [])
 
     @property
     def luts(self) -> int:
@@ -154,7 +159,8 @@ def run_flow(design: Design, device: Optional[Device] = None,
     else:
         plan = [(seed + k, effort, None) for k in range(max(starts, 1))]
 
-    outcomes = _run_candidates(netlist, device, plan, pool, kernel)
+    retries: List[str] = []
+    outcomes = _run_candidates(netlist, device, plan, pool, kernel, retries)
     placement, routing, timing, winner_phases = min(
         outcomes, key=lambda o: (o[0].cost, o[0].seed))
 
@@ -162,7 +168,8 @@ def run_flow(design: Design, device: Optional[Device] = None,
     phase_seconds = dict(winner_phases, synth_s=synth_s)
     report = FlowReport(design, netlist, placement, routing, timing,
                         device, wall, starts=len(plan),
-                        phase_seconds=phase_seconds)
+                        phase_seconds=phase_seconds,
+                        candidate_retries=retries)
     if placement_cache is not None and signature is not None \
             and report.success:
         placement_cache.store(signature, placement.locations)
@@ -171,10 +178,12 @@ def run_flow(design: Design, device: Optional[Device] = None,
 
 def _run_candidates(netlist: Netlist, device: Device,
                     plan: List[Tuple[int, float, Optional[dict]]],
-                    pool, kernel: str
+                    pool, kernel: str, retries: List[str]
                     ) -> List[Tuple[Placement, RoutingResult,
                                     TimingReport, Dict[str, float]]]:
-    """Fan the candidate plan across ``pool`` (or run inline)."""
+    """Fan the candidate plan across ``pool`` (or run inline).  Each
+    candidate recomputed inline after its pool future failed is recorded
+    in ``retries`` and traced as a ``flow_candidate_retry`` event."""
     if pool is None:
         np_, dp = netlist.to_payload(), device.to_payload()
         return [_pr_candidate(np_, dp, s, e, h, kernel)
@@ -186,9 +195,15 @@ def _run_candidates(netlist: Netlist, device: Device,
     for future, (s, e, h) in zip(futures, plan):
         try:
             outcomes.append(future.result())
-        except Exception:
+        except Exception as exc:
             # A broken pool (killed worker, sandboxed fork) must not
             # fail the compile: the candidate is a pure function, so
-            # recompute it inline.
+            # recompute it inline — counted and explained, not silent.
+            error = f"{type(exc).__name__}: {exc}"
+            retries.append(f"seed {s}: {error}")
+            tr = tracer()
+            if tr.enabled:
+                tr.emit("flow_candidate_retry", "compile",
+                        args={"seed": s, "error": error})
             outcomes.append(_pr_candidate(np_, dp, s, e, h, kernel))
     return outcomes

@@ -23,11 +23,9 @@ import functools
 import re
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..common.bits import Bits
 from ..common.errors import SynthesisError
 from ..verilog import ast
 from ..verilog.elaborate import Design, Function, Var
-from ..verilog.eval import natural_size
 from ..interp.engine import read_set_of, read_set_of_lvalue_indices
 from ..verilog.visitor import walk
 from . import pyrt
@@ -125,58 +123,6 @@ class CompiledDesign:
         return "negedge" in edges
 
 
-class _WidthScope:
-    """Width/sign information only — no live values."""
-
-    def __init__(self, design: Design,
-                 frames: Optional[Dict[str, Tuple[int, bool]]] = None):
-        self.design = design
-        self.frames = frames or {}
-
-    def width_sign(self, name: str) -> Tuple[int, bool]:
-        if name in self.frames:
-            return self.frames[name]
-        var = self.design.vars[name]
-        return var.width, var.signed
-
-    def is_array(self, name: str) -> bool:
-        if name in self.frames:
-            return False
-        var = self.design.vars.get(name)
-        return var is not None and var.is_array
-
-    def element_width_sign(self, name: str) -> Tuple[int, bool]:
-        var = self.design.vars[name]
-        return var.width, var.signed
-
-    def read(self, name: str) -> Bits:
-        raise KeyError(name)
-
-    def read_word(self, name: str, index: int) -> Bits:
-        raise KeyError(name)
-
-    def range_of(self, name: str) -> Tuple[int, int]:
-        if name in self.frames:
-            w, _ = self.frames[name]
-            return w - 1, 0
-        var = self.design.vars[name]
-        return var.msb, var.lsb
-
-    def function_width_sign(self, name: str) -> Tuple[int, bool]:
-        fn = self.design.functions[name]
-        return fn.ret_width, fn.ret_signed
-
-    def function_port_widths(self, name: str) -> List[Tuple[int, bool]]:
-        fn = self.design.functions[name]
-        return [(w, s) for (_, w, s) in fn.ports]
-
-    def call_function(self, name: str, args):
-        raise KeyError(name)
-
-    def sys_func(self, name: str, args, evaluator) -> Bits:
-        raise SynthesisError(f"{name} cannot be synthesized")
-
-
 @functools.lru_cache(maxsize=4096)
 def attr_name(name: str) -> str:
     """The model attribute holding Verilog variable ``name``."""
@@ -213,14 +159,15 @@ class _ExprCompiler:
                  frame_widths: Optional[Dict[str, Tuple[int, bool]]] = None):
         self.c = compiler
         self.frame = frame or {}
-        self.scope = _WidthScope(compiler.design, frame_widths)
+        #: (width, signed) of the frame's names
+        self.frame_widths = frame_widths or {}
         self.temp_id = 0
 
     # -- public ----------------------------------------------------------
     def rvalue(self, expr: ast.Expr, min_width: int = 0
                ) -> Tuple[str, int, bool]:
         """(code, ctx_width, signed) for an expression."""
-        width, signed = natural_size(expr, self.scope)
+        width, signed, _, _ = expr.ann
         ctx = max(width, min_width)
         return self._ctx(expr, ctx, signed), ctx, signed
 
@@ -242,10 +189,23 @@ class _ExprCompiler:
     # -- helpers -----------------------------------------------------------
     def _read(self, name: str) -> Tuple[str, int, bool]:
         if name in self.frame:
-            w, s = self.scope.frames[name]
+            w, s = self.frame_widths[name]
             return self.frame[name], w, s
         var = self.c.design.vars[name]
         return f"self.{attr_name(name)}", var.width, var.signed
+
+    def is_array(self, name: str) -> bool:
+        if name in self.frame_widths:
+            return False
+        var = self.c.design.vars.get(name)
+        return var is not None and var.is_array
+
+    def range_of(self, name: str) -> Tuple[int, int]:
+        """Declared (msb, lsb); frame locals are [w-1:0]."""
+        if name in self.frame_widths:
+            return self.frame_widths[name][0] - 1, 0
+        var = self.c.design.vars[name]
+        return var.msb, var.lsb
 
     def _coerce(self, code: str, from_w: int, from_signed_ok: bool,
                 ctx: int, signed: bool) -> str:
@@ -271,7 +231,10 @@ class _ExprCompiler:
     def _ctx_code(self, expr: ast.Expr, ctx: int, signed: bool) -> str:
         if isinstance(expr, ast.Number):
             value = expr.value.to_int_xz(0) & _mask(expr.value.width)
-            if expr.value.signed and ctx > expr.value.width:
+            # Extended with the expression's signedness, not the
+            # literal's: a signed literal in an unsigned context
+            # zero-extends.
+            if signed and ctx > expr.value.width:
                 value = pyrt.to_signed(value, expr.value.width) & _mask(ctx)
             return str(value)
         if isinstance(expr, ast.StringLit):
@@ -312,7 +275,7 @@ class _ExprCompiler:
         base = expr.base
         idx_code, _, _ = self.rvalue(expr.index)
         if isinstance(base, ast.Ident) and base.name not in self.frame \
-                and self.scope.is_array(base.name):
+                and self.is_array(base.name):
             var = self.c.design.vars[base.name]
             nwords, msb, lsb = var.array
             lo = min(msb, lsb)
@@ -326,7 +289,7 @@ class _ExprCompiler:
                     var.width)
         if isinstance(base, ast.Ident):
             code, w, _ = self._read(base.name)
-            msb, lsb = self.scope.range_of(base.name)
+            msb, lsb = self.range_of(base.name)
             offset = self._offset_code(idx_code, msb, lsb)
         else:
             code, w, _ = self.rvalue(base)
@@ -347,9 +310,9 @@ class _ExprCompiler:
         base = expr.base
         if isinstance(base, ast.Ident) and not (
                 base.name not in self.frame
-                and self.scope.is_array(base.name)):
+                and self.is_array(base.name)):
             code, w, _ = self._read(base.name)
-            msb, lsb = self.scope.range_of(base.name)
+            msb, lsb = self.range_of(base.name)
         else:
             code, w, _ = self.rvalue(base)
             msb, lsb = w - 1, 0
@@ -409,8 +372,8 @@ class _ExprCompiler:
 
     def _compare(self, expr: ast.Binary) -> str:
         """A comparison as a Python boolean expression."""
-        lw, ls = natural_size(expr.lhs, self.scope)
-        rw, rs = natural_size(expr.rhs, self.scope)
+        lw, ls, _, _ = expr.lhs.ann
+        rw, rs, _, _ = expr.rhs.ann
         w = max(lw, rw)
         s = ls and rs
         l = self._ctx(expr.lhs, w, s)
@@ -439,8 +402,14 @@ class _ExprCompiler:
             r, _, _ = self.rvalue(expr.rhs)
             return f"pyrt.ashr({l}, {r}, {ctx})"
         if op == "**":
+            # The exponent is resized to the context width first.
             l = self._ctx(expr.lhs, ctx, signed)
-            r, _, _ = self.rvalue(expr.rhs)
+            r, rw, rs = self.rvalue(expr.rhs)
+            if rw > ctx:
+                r, rw = _fold(f"(({r}) & {_mask(ctx)})"), ctx
+            if rs:
+                return (f"pyrt.pow_signed_exp({l}, {_signed(r, rw)}, "
+                        f"{ctx}, {signed})")
             return f"(pow({l}, {r}, {1 << ctx}))"
         l = self._ctx(expr.lhs, ctx, signed)
         r = self._ctx(expr.rhs, ctx, signed)
@@ -497,15 +466,13 @@ class _ExprCompiler:
             code, _, _ = self.rvalue(expr.args[0])
             return f"(pyrt.clog2({code}) & {_mask(ctx)})"
         if name == "$bits":
-            w, _ = natural_size(expr.args[0], self.scope)
-            return str(w & _mask(ctx))
+            return str(expr.args[0].ann[0] & _mask(ctx))
         if name.startswith("$"):
             raise SynthesisError(f"{name} cannot be synthesized")
         fn = self.c.design.functions[name]
         args = []
         for arg, (_, w, s) in zip(expr.args, fn.ports):
-            args.append(self._ctx(arg, w, s) if natural_size(
-                arg, self.scope)[0] <= w else
+            args.append(self._ctx(arg, w, s) if arg.ann[0] <= w else
                 _fold(f"(({self._ctx(arg, w, s)}) & {_mask(w)})"))
         body = self.c.inline_body(fn)
         if body is not None and all(_SIMPLE_ARG.fullmatch(a) for a in args):
@@ -613,9 +580,7 @@ class _StmtCompiler:
     # -- assignments ---------------------------------------------------------
     def _assign(self, lhs: ast.Expr, rhs: ast.Expr, indent: int,
                 blocking: bool) -> None:
-        from ..verilog.eval import assign_target_width
-        width = assign_target_width(lhs, self.x.scope)
-        code, ctx, _ = self.x.rvalue(rhs, width)
+        code, ctx, _ = self.x.rvalue(rhs, lhs.ann[0])
         if isinstance(lhs, ast.Ident):
             self._store_ident(lhs.name, code, ctx, indent, blocking)
             return
@@ -634,8 +599,7 @@ class _StmtCompiler:
     def _store(self, lhs: ast.Expr, value: str, value_w: int, indent: int,
                blocking: bool) -> None:
         if isinstance(lhs, ast.Concat):
-            from ..verilog.eval import natural_size as ns
-            widths = [ns(p, self.x.scope)[0] for p in lhs.parts]
+            widths = [p.ann[0] for p in lhs.parts]
             pos = sum(widths)
             for part, w in zip(lhs.parts, widths):
                 pos -= w
@@ -653,11 +617,11 @@ class _StmtCompiler:
                 raise SynthesisError("unsupported nested l-value")
             idx, _, _ = self.x.rvalue(lhs.index)
             if base.name not in self.x.frame and \
-                    self.x.scope.is_array(base.name):
+                    self.x.is_array(base.name):
                 self._store_word(base.name, idx, value, value_w, indent,
                                  blocking)
             else:
-                msb, lsb = self.x.scope.range_of(base.name)
+                msb, lsb = self.x.range_of(base.name)
                 off = self.x._offset_code(idx, msb, lsb)
                 self._store_bits(base.name, off, 1, value, indent,
                                  blocking)
@@ -666,7 +630,7 @@ class _StmtCompiler:
             base = lhs.base
             if not isinstance(base, ast.Ident):
                 raise SynthesisError("unsupported nested l-value")
-            msb, lsb = self.x.scope.range_of(base.name)
+            msb, lsb = self.x.range_of(base.name)
             descending = msb >= lsb
             if lhs.mode == ":":
                 hi_i = _const_int(lhs.left)
@@ -697,7 +661,7 @@ class _StmtCompiler:
     def _store_ident(self, name: str, value: str, value_w: int,
                      indent: int, blocking: bool) -> None:
         if name in self.x.frame:
-            w, s = self.x.scope.frames[name]
+            w, s = self.x.frame_widths[name]
             code = f"(({value}) & {_mask(w)})" if value_w > w else value
             self.e.emit(indent, f"{self.x.frame[name]} = {code}")
             return
@@ -753,7 +717,7 @@ class _StmtCompiler:
                     indent: int, blocking: bool) -> None:
         var = self.c.design.vars.get(name)
         if name in self.x.frame:
-            w, _ = self.x.scope.frames[name]
+            w, _ = self.x.frame_widths[name]
             target = self.x.frame[name]
         else:
             w = var.width
@@ -781,12 +745,8 @@ class _StmtCompiler:
 
     # -- case ------------------------------------------------------------------
     def _case(self, stmt: ast.Case, indent: int) -> None:
-        sel_w, _ = natural_size(stmt.expr, self.x.scope)
-        widths = [sel_w]
-        for item in stmt.items:
-            for e in item.exprs or []:
-                widths.append(natural_size(e, self.x.scope)[0])
-        w = max(widths)
+        w = max([stmt.expr.ann[0]] + [e.ann[0] for item in stmt.items
+                                      for e in item.exprs or []])
         sel_code = self.x._ctx(stmt.expr, w, False)
         sel = self.tmp()
         self.e.emit(indent, f"{sel} = {sel_code}")
@@ -1121,7 +1081,6 @@ class _DesignCompiler:
         assigns, acyclic = self._topo_sort_assigns(assigns)
         e.emit(1, "def _eval_comb(self):")
         exprs = _ExprCompiler(self)
-        from ..verilog.eval import assign_target_width
         if acyclic and not blocks:
             # Drivers precede readers: one straight pass settles it.
             stmts = _StmtCompiler(self, e, exprs, resettle=set())
@@ -1133,8 +1092,7 @@ class _DesignCompiler:
         e.emit(2, "for _pass in range(128):")
         e.emit(3, "self._dirty = False")
         for assign in assigns:
-            width = assign_target_width(assign.lhs, exprs.scope)
-            code, ctx, _ = exprs.rvalue(assign.rhs, width)
+            code, ctx, _ = exprs.rvalue(assign.rhs, assign.lhs.ann[0])
             stmts = _StmtCompiler(self, e, exprs, resettle=set())
             tmp = stmts.tmp()
             e.emit(3, f"{tmp} = {code}")

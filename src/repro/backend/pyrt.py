@@ -9,7 +9,8 @@ a Python int expression.
 
 from __future__ import annotations
 
-__all__ = ["sdiv", "smod", "ashr", "to_signed", "red_xor", "clog2"]
+__all__ = ["sdiv", "smod", "ashr", "to_signed", "red_xor", "clog2",
+           "pow_signed_exp"]
 
 
 def to_signed(value: int, width: int) -> int:
@@ -51,3 +52,18 @@ def red_xor(value: int) -> int:
 
 def clog2(value: int) -> int:
     return (value - 1).bit_length() if value > 1 else 0
+
+
+def pow_signed_exp(base: int, exp: int, width: int, base_signed: bool
+                   ) -> int:
+    """``base ** exp`` over ``width`` bits for a signed exponent: a
+    negative exponent yields 1 or -1 for a base of 1 or -1, else 0."""
+    mask = (1 << width) - 1
+    if exp >= 0:
+        return pow(base, exp, mask + 1)
+    b = to_signed(base, width) if base_signed else base
+    if b == 1:
+        return 1
+    if b == -1:
+        return mask if exp & 1 else 1
+    return 0

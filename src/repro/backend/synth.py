@@ -26,9 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from ..common.errors import SynthesisError
 from ..verilog import ast
 from ..verilog.elaborate import Design, Function
-from ..verilog.eval import natural_size
 from .netlist import Netlist
-from .pycompile import _WidthScope
 
 __all__ = ["synthesize"]
 
@@ -43,7 +41,6 @@ class _Synth:
     def __init__(self, design: Design, unroll_limit: int = 4096):
         self.design = design
         self.nl = Netlist(design.name)
-        self.scope = _WidthScope(design)
         self.unroll_limit = unroll_limit
         self.env: Dict[str, BitVec] = {}
 
@@ -180,22 +177,17 @@ class _Synth:
         if isinstance(e, ast.Concat):
             parts = []
             for p in reversed(e.parts):
-                w, _ = natural_size(p, self._frame_scope(frame))
+                w = p.ann[0]
                 parts.extend(self.expr(p, w, False, frame))
             return self.resize(parts, ctx, False)
         if isinstance(e, ast.Repeat):
             count = self._const_int(e.count, frame)
-            w, _ = natural_size(e.inner, self._frame_scope(frame))
+            w = e.inner.ann[0]
             inner = self.expr(e.inner, w, False, frame)
             return self.resize(inner * count, ctx, False)
         if isinstance(e, ast.Call):
             return self._call(e, ctx, signed, frame)
         raise SynthesisError(f"cannot synthesize {type(e).__name__}")
-
-    def _frame_scope(self, frame):
-        widths = {name: (len(vec), signed)
-                  for name, (vec, signed) in frame.items()}
-        return _WidthScope(self.design, widths)
 
     def _read(self, name: str,
               frame: Dict[str, Tuple[BitVec, bool]]
@@ -208,12 +200,12 @@ class _Synth:
         raise SynthesisError(f"cannot synthesize read of {name!r}")
 
     def _bool(self, e: ast.Expr, frame) -> str:
-        w, _ = natural_size(e, self._frame_scope(frame))
+        w = e.ann[0]
         vec = self.expr(e, w, False, frame)
         return self.reduce_tree(vec, self.or_)
 
     def _const_int(self, e: ast.Expr, frame) -> int:
-        w, s = natural_size(e, self._frame_scope(frame))
+        w, s = e.ann[:2]
         vec = self.expr(e, w, s, frame)
         value = self.vec_const(vec)
         if value is None:
@@ -236,10 +228,10 @@ class _Synth:
             else:
                 msb, lsb = len(vec) - 1, 0
         else:
-            w, _ = natural_size(base, self._frame_scope(frame))
+            w = base.ann[0]
             vec = self.expr(base, w, False, frame)
             msb, lsb = w - 1, 0
-        iw, _ = natural_size(e.index, self._frame_scope(frame))
+        iw = e.index.ann[0]
         idx = self.expr(e.index, iw, False, frame)
         const = self.vec_const(idx)
         descending = msb >= lsb
@@ -280,7 +272,7 @@ class _Synth:
             vec, _ = self._read(base.name, frame)
             msb, lsb = var.msb, var.lsb
         else:
-            w, _ = natural_size(base, self._frame_scope(frame))
+            w = base.ann[0]
             vec = self.expr(base, w, False, frame)
             msb, lsb = w - 1, 0
         descending = msb >= lsb
@@ -302,7 +294,7 @@ class _Synth:
                 pass
             if start_const is None:
                 # Dynamic part select: shift right then slice.
-                iw, _ = natural_size(e.left, self._frame_scope(frame))
+                iw = e.left.ann[0]
                 idx = self.expr(e.left, iw, False, frame)
                 shifted = self._shift_right_dyn(vec, idx)
                 return shifted[:width]
@@ -351,12 +343,11 @@ class _Synth:
 
     def _unary(self, e: ast.Unary, ctx: int, signed: bool, frame) -> BitVec:
         op = e.op
-        scope = self._frame_scope(frame)
         if op == "!":
             return self.resize([self.not_(self._bool(e.operand, frame))],
                                ctx, False)
         if op in ("&", "~&", "|", "~|", "^", "~^", "^~"):
-            w, _ = natural_size(e.operand, scope)
+            w = e.operand.ann[0]
             vec = self.expr(e.operand, w, False, frame)
             if op in ("&", "~&"):
                 bit = self.reduce_tree(vec, self.and_)
@@ -382,15 +373,14 @@ class _Synth:
     def _binary(self, e: ast.Binary, ctx: int, signed: bool,
                 frame) -> BitVec:
         op = e.op
-        scope = self._frame_scope(frame)
         if op in ("&&", "||"):
             a = self._bool(e.lhs, frame)
             b = self._bool(e.rhs, frame)
             bit = self.and_(a, b) if op == "&&" else self.or_(a, b)
             return self.resize([bit], ctx, False)
         if op in ("==", "!=", "===", "!=="):
-            lw, ls = natural_size(e.lhs, scope)
-            rw, rs = natural_size(e.rhs, scope)
+            lw, ls = e.lhs.ann[:2]
+            rw, rs = e.rhs.ann[:2]
             w = max(lw, rw)
             a = self.expr(e.lhs, w, ls and rs, frame)
             b = self.expr(e.rhs, w, ls and rs, frame)
@@ -399,8 +389,8 @@ class _Synth:
             bit = neq if op in ("!=", "!==") else self.not_(neq)
             return self.resize([bit], ctx, False)
         if op in ("<", "<=", ">", ">="):
-            lw, ls = natural_size(e.lhs, scope)
-            rw, rs = natural_size(e.rhs, scope)
+            lw, ls = e.lhs.ann[:2]
+            rw, rs = e.rhs.ann[:2]
             w = max(lw, rw)
             s = ls and rs
             a = self.expr(e.lhs, w, s, frame)
@@ -425,7 +415,7 @@ class _Synth:
             return self.resize([bit], ctx, False)
         if op in ("<<", "<<<", ">>", ">>>"):
             vec = self.expr(e.lhs, ctx, signed, frame)
-            rw, _ = natural_size(e.rhs, scope)
+            rw = e.rhs.ann[0]
             amount = self.expr(e.rhs, rw, False, frame)
             const = self.vec_const(amount)
             arith = op == ">>>" and signed
@@ -480,13 +470,12 @@ class _Synth:
 
     def _call(self, e: ast.Call, ctx: int, signed: bool, frame) -> BitVec:
         name = e.name
-        scope = self._frame_scope(frame)
         if name == "$signed":
-            w, _ = natural_size(e.args[0], scope)
+            w = e.args[0].ann[0]
             vec = self.expr(e.args[0], w, True, frame)
             return self.resize(vec, ctx, True)
         if name == "$unsigned":
-            w, _ = natural_size(e.args[0], scope)
+            w = e.args[0].ann[0]
             vec = self.expr(e.args[0], w, False, frame)
             return self.resize(vec, ctx, False)
         if name.startswith("$"):
@@ -587,12 +576,11 @@ class _Synth:
                              for a, b in zip(tv, fv)]
 
     def _case(self, stmt: ast.Case, frame, nba) -> None:
-        scope = self._frame_scope(frame)
-        sel_w, _ = natural_size(stmt.expr, scope)
+        sel_w = stmt.expr.ann[0]
         widths = [sel_w]
         for item in stmt.items:
             for e in item.exprs or []:
-                widths.append(natural_size(e, scope)[0])
+                widths.append(e.ann[0])
         w = max(widths)
         sel = self.expr(stmt.expr, w, False, frame)
 
@@ -652,9 +640,8 @@ class _Synth:
 
     def _for(self, stmt: ast.For, frame, nba) -> None:
         self._assign(stmt.init.lhs, stmt.init.rhs, frame, None)
+        w, s = stmt.cond.ann[:2]
         for _ in range(self.unroll_limit):
-            scope = self._frame_scope(frame)
-            w, s = natural_size(stmt.cond, scope)
             cond_vec = self.expr(stmt.cond, w, s, frame)
             cond = self.vec_const(cond_vec)
             if cond is None:
@@ -669,20 +656,17 @@ class _Synth:
 
     def _assign(self, lhs: ast.Expr, rhs: ast.Expr, frame,
                 nba: Optional[Dict[str, BitVec]]) -> None:
-        scope = self._frame_scope(frame)
-        from ..verilog.eval import assign_target_width
-        width = assign_target_width(lhs, scope)
-        _, rs = natural_size(rhs, scope)
+        width = lhs.ann[0]
+        rs = rhs.ann[1]
         value = self.expr(rhs, width, rs, frame)
         self._store(lhs, value, frame, nba)
 
     def _store(self, lhs: ast.Expr, value: BitVec, frame,
                nba: Optional[Dict[str, BitVec]]) -> None:
         if isinstance(lhs, ast.Concat):
-            scope = self._frame_scope(frame)
-            pos = sum(natural_size(p, scope)[0] for p in lhs.parts)
+            pos = sum(p.ann[0] for p in lhs.parts)
             for part in lhs.parts:
-                w = natural_size(part, scope)[0]
+                w = part.ann[0]
                 pos -= w
                 chunk = [value[pos + i] if pos + i < len(value)
                          else self.nl.add_const(0) for i in range(w)]

@@ -22,7 +22,7 @@ either operand contains x/z, and case equality (``===``) compares the four
 state exactly.
 
 Width discipline: operations here are *self-determined* — callers (the
-expression evaluator in :mod:`repro.interp.evaluator`) are responsible for
+expression closures of :mod:`repro.verilog.eval`) are responsible for
 extending operands to the context-determined width before invoking an
 operation, exactly the way a Verilog simulator sizes its intermediates.
 """
@@ -40,6 +40,9 @@ class BitsError(ValueError):
 
 def _mask(width: int) -> int:
     return (1 << width) - 1
+
+
+_setattr = object.__setattr__
 
 
 class Bits:
@@ -63,11 +66,11 @@ class Bits:
                  signed: bool = False):
         if width <= 0:
             raise BitsError(f"Bits width must be positive, got {width}")
-        m = _mask(width)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "aval", aval & m)
-        object.__setattr__(self, "bval", bval & m)
-        object.__setattr__(self, "signed", bool(signed))
+        m = (1 << width) - 1
+        _setattr(self, "width", width)
+        _setattr(self, "aval", aval & m)
+        _setattr(self, "bval", bval & m)
+        _setattr(self, "signed", bool(signed))
 
     def __setattr__(self, name, value):  # pragma: no cover - safety net
         raise AttributeError("Bits is immutable")
@@ -393,6 +396,9 @@ class Bits:
     # ------------------------------------------------------------------
     def and_(self, other: "Bits") -> "Bits":
         w = self._same_width(self, other)
+        if not (self.bval or other.bval):
+            return Bits(w, self.aval & other.aval, 0,
+                        self.signed and other.signed)
         a0, a1, _, m = self._planes()
         b0, b1, _, _ = other._planes()
         r0 = a0 | b0
@@ -402,6 +408,9 @@ class Bits:
 
     def or_(self, other: "Bits") -> "Bits":
         w = self._same_width(self, other)
+        if not (self.bval or other.bval):
+            return Bits(w, self.aval | other.aval, 0,
+                        self.signed and other.signed)
         a0, a1, _, m = self._planes()
         b0, b1, _, _ = other._planes()
         r1 = a1 | b1
@@ -411,6 +420,9 @@ class Bits:
 
     def xor_(self, other: "Bits") -> "Bits":
         w = self._same_width(self, other)
+        if not (self.bval or other.bval):
+            return Bits(w, self.aval ^ other.aval, 0,
+                        self.signed and other.signed)
         _, _, ax, m = self._planes()
         _, _, bx, _ = other._planes()
         rx = ax | bx
@@ -421,6 +433,8 @@ class Bits:
         return self.xor_(other).not_()
 
     def not_(self) -> "Bits":
+        if not self.bval:
+            return Bits(self.width, ~self.aval, 0, self.signed)
         _, _, rx, m = self._planes()
         r1 = ~self.aval & ~rx & m
         return Bits(self.width, r1 | rx, rx, self.signed)

@@ -18,7 +18,7 @@ import sys
 import time as _time
 from typing import List, Optional
 
-from ..common.errors import CascadeError
+from ..common.errors import CascadeError, LexError, ParseError
 from ..obs import merge_registries, tracer
 from .runtime import Runtime
 
@@ -63,8 +63,12 @@ class Repl:
             # Not a valid item list; try a bare statement (eg $display).
             try:
                 self.runtime.eval_statement(stripped)
-            except CascadeError:
+            except (LexError, ParseError):
                 errors.append(str(item_error))
+                return errors
+            except CascadeError as stmt_error:
+                # A statement that parsed but does not build.
+                errors.append(str(stmt_error))
                 return errors
         self.runtime.run(iterations=self.run_between_inputs)
         self._h_eval.observe(_time.perf_counter() - t0)
@@ -191,6 +195,8 @@ class Repl:
                 "reliability: "
                 f"{int(merged.get('estimate.fallbacks', 0))} estimate "
                 f"fallbacks, "
+                f"{int(merged.get('compile.flow_candidate_retries', 0))} "
+                f"flow candidate retries, "
                 f"{int(merged.get('cache.bridge_races', 0))} bridge "
                 f"races, "
                 f"{int(merged.get('cache.disk_corrupt', 0))} corrupt "

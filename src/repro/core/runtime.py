@@ -125,6 +125,9 @@ class Runtime:
         self.iterations = 0           # scheduler iterations dispatched
         self.generation = 0           # bumped on every program change
         self._needs_rebuild = True
+        #: The program the last eval validated, kept for the rebuild:
+        #: (program key, IR program, elaborated designs by subprogram).
+        self._prepared: Optional[Tuple] = None
         self._had_transients = False
         self._oloop_limit = _OLOOP_MIN
         self._oloop_exec_cap = _OLOOP_REAL_CAP
@@ -206,23 +209,44 @@ class Runtime:
         src = parse_source(text, source_name)
         for module in src.modules:
             self.library.declare(module)
+        # Declarations alone do not change the running program.
         if src.root_items:
-            self.root_items.extend(src.root_items)
-            self._invalidate()
-        elif src.modules:
-            # Declarations alone do not change the running program.
-            pass
+            self._admit(src.root_items)
 
     def eval_statement(self, text: str) -> None:
         """Eval a single statement: wrapped in an initial process at the
         end of the root module and executed once."""
         stmt = parse_statement_text(text)
-        self.root_items.append(ast.InitialBlock(stmt, stmt.loc))
-        self._invalidate()
+        self._admit([ast.InitialBlock(stmt, stmt.loc)])
 
     def eval_item(self, item: ast.Item) -> None:
-        self.root_items.append(item)
+        self._admit([item])
+
+    def _admit(self, items: List[ast.Item]) -> None:
+        """Append items to the root module once the program they make
+        builds.  IR construction and elaboration (width annotation
+        included) run now, so a semantic error such as an undeclared
+        name is raised by the eval that introduced it and nothing is
+        admitted; the build is kept for the next rebuild."""
+        root_items = self.root_items + list(items)
+        program, designs = self._build_program(root_items)
+        self.root_items = root_items
+        self._prepared = (self._program_key(), program, designs)
         self._invalidate()
+
+    def _program_key(self) -> Tuple:
+        # AST items compare by identity; the tuple keeps them alive.
+        return tuple(self.root_items), len(self.library.modules)
+
+    def _build_program(self, root_items: List[ast.Item]):
+        root = ast.Module("main", [], list(root_items))
+        program = build_ir(root, self.library,
+                           external=set(STDLIB_MODULE_NAMES),
+                           inlined=self.inline_user_logic)
+        designs = {sub.name: elaborate_leaf(sub.module_ast)
+                   for sub in program.subprograms.values()
+                   if not sub.external}
+        return program, designs
 
     def _invalidate(self) -> None:
         self._needs_rebuild = True
@@ -233,10 +257,11 @@ class Runtime:
     def _rebuild(self) -> None:
         self.generation += 1
         _t_rebuild = _time.perf_counter()
-        root = ast.Module("main", [], list(self.root_items))
-        program = build_ir(root, self.library,
-                           external=set(STDLIB_MODULE_NAMES),
-                           inlined=self.inline_user_logic)
+        prepared, self._prepared = self._prepared, None
+        if prepared is not None and prepared[0] == self._program_key():
+            _, program, designs = prepared
+        else:
+            program, designs = self._build_program(self.root_items)
 
         saved_state: Dict[str, Dict[str, object]] = {}
         old_nets: Dict[str, Bits] = {}
@@ -257,7 +282,7 @@ class Runtime:
                 else:
                     engines[sub.name] = make_stdlib_engine(sub, self.board)
             else:
-                engine = SoftwareEngineAdapter(sub)
+                engine = SoftwareEngineAdapter(sub, designs[sub.name])
                 state = saved_state.get(sub.name)
                 if state:
                     engine.set_state(state)

@@ -16,6 +16,9 @@ Implementation notes
   (paper: "Cascade computes data dependencies at compile-time and uses a
   lazy evaluation strategy ... to reduce the overhead of recomputing
   outputs").
+* Each continuous assign, process body and function body is built once,
+  on first execution, into nested closures over the width-annotated AST
+  (:mod:`repro.interp.closures`); the closures live on the engine.
 * Nonblocking assigns resolve their l-value indices eagerly and queue
   primitive write operations, applied atomically by :meth:`update`.
 """
@@ -24,15 +27,16 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..common.bits import Bits
 from ..common.errors import EvalError
 from ..verilog import ast
-from ..verilog.elaborate import Design, Function, Var
-from ..verilog.eval import ExprEvaluator, assign_target_width, natural_size
-from ..verilog.visitor import find_all, walk
-from .fmt import format_display
+from ..verilog.elaborate import Design, Function
+from ..verilog.eval import coerce
+from ..verilog.visitor import walk
+from .closures import StmtBuilder
 
 __all__ = ["SoftwareEngine", "EngineServices", "read_set_of"]
 
@@ -177,85 +181,12 @@ class _WaitEntry:
 
     __slots__ = ("process", "items", "names")
 
-    def __init__(self, process: "_Process",
-                 items: List[Tuple[Optional[str], ast.Expr, Bits]],
+    def __init__(self, process: "_Process", items: List[Tuple],
                  names: Set[str]):
         self.process = process
-        self.items = items   # (edge, expr, previous value)
+        #: (edge, value closure, previous value, names read)
+        self.items = items
         self.names = names
-
-
-class _Scope:
-    """The evaluator scope over an engine's live state."""
-
-    def __init__(self, engine: "SoftwareEngine"):
-        self.engine = engine
-        self.frames: List[Dict[str, Bits]] = []
-
-    # -- frame management (function calls) ------------------------------
-    def push_frame(self, frame: Dict[str, Bits]) -> None:
-        self.frames.append(frame)
-
-    def pop_frame(self) -> None:
-        self.frames.pop()
-
-    def _frame_lookup(self, name: str) -> Optional[Bits]:
-        if self.frames and name in self.frames[-1]:
-            return self.frames[-1][name]
-        return None
-
-    # -- Scope protocol ---------------------------------------------------
-    def width_sign(self, name: str) -> Tuple[int, bool]:
-        v = self._frame_lookup(name)
-        if v is not None:
-            return v.width, v.signed
-        var = self.engine.design.vars[name]
-        return var.width, var.signed
-
-    def is_array(self, name: str) -> bool:
-        if self._frame_lookup(name) is not None:
-            return False
-        var = self.engine.design.vars.get(name)
-        return var is not None and var.is_array
-
-    def element_width_sign(self, name: str) -> Tuple[int, bool]:
-        var = self.engine.design.vars[name]
-        return var.width, var.signed
-
-    def read(self, name: str) -> Bits:
-        v = self._frame_lookup(name)
-        if v is not None:
-            return v
-        return self.engine.values[name]
-
-    def read_word(self, name: str, index: int) -> Bits:
-        var = self.engine.design.vars[name]
-        offset = var.word_index(index)
-        if offset is None:
-            return Bits.xes(var.width)
-        return self.engine.arrays[name][offset]
-
-    def range_of(self, name: str) -> Tuple[int, int]:
-        v = self._frame_lookup(name)
-        if v is not None:
-            return v.width - 1, 0
-        var = self.engine.design.vars[name]
-        return var.msb, var.lsb
-
-    def function_width_sign(self, name: str) -> Tuple[int, bool]:
-        fn = self.engine.design.functions[name]
-        return fn.ret_width, fn.ret_signed
-
-    def function_port_widths(self, name: str) -> List[Tuple[int, bool]]:
-        fn = self.engine.design.functions[name]
-        return [(w, s) for (_, w, s) in fn.ports]
-
-    def call_function(self, name: str, args: List[Bits]) -> Bits:
-        return self.engine.call_function(name, args)
-
-    def sys_func(self, name: str, args: List[ast.Expr],
-                 evaluator: ExprEvaluator) -> Bits:
-        return self.engine.sys_func(name, args, evaluator)
 
 
 class SoftwareEngine:
@@ -270,13 +201,19 @@ class SoftwareEngine:
         self.arrays: Dict[str, List[Bits]] = {}
         self._rand_state = random_seed & 0xFFFFFFFF or 1
 
-        self.scope = _Scope(self)
-        self.evaluator = ExprEvaluator(self.scope)
+        # Closures, built on first use (see repro.interp.closures).
+        self._stmts = StmtBuilder(self)
+        self._assign_fns: List[Optional[Callable[[], None]]] = \
+            [None] * len(design.assigns)
+        self._functions: Dict[str, Callable[[Dict[str, Bits]], None]] = {}
+        self._outputs = frozenset(
+            v.name for v in design.vars.values() if v.direction == "output")
 
         # Event machinery.
         self._dirty_assigns: deque = deque()
         self._dirty_set: Set[int] = set()
         self._runnable: deque = deque()
+        #: queued nonblocking writes, (setter, key, value)
         self._update_queue: List[Tuple] = []
         self._sleeping: List[Tuple[int, int, _Process]] = []  # heap
         self._sleep_seq = 0
@@ -286,7 +223,7 @@ class SoftwareEngine:
         # Re-walking the expression tree on every wait registration and
         # every _check_waits call dominated the scheduler hot path.
         self._wait_meta: Dict[int, Tuple] = {}
-        self._monitors: List[Tuple[List[ast.Expr], Optional[str]]] = []
+        self._monitors: List[Tuple[Callable[[], str], Optional[str]]] = []
         self._changed_outputs: Set[str] = set()
         self._finished: Optional[int] = None
         self._stmt_budget = _LOOP_CAP
@@ -308,14 +245,17 @@ class SoftwareEngine:
                 self.values[var.name] = var.default_value()
 
     def _build_assign_deps(self) -> None:
-        self._assign_deps: Dict[str, Set[int]] = {}
+        deps: Dict[str, Set[int]] = {}
         for idx, assign in enumerate(self.design.assigns):
             reads = read_set_of(assign.rhs) | read_set_of_lvalue_indices(
                 assign.lhs)
             for name in reads:
-                self._assign_deps.setdefault(name, set()).add(idx)
+                deps.setdefault(name, set()).add(idx)
             # Every assign is evaluated once at time zero.
             self._mark_assign(idx)
+        # Tuples iterate in the same order as the sets they freeze.
+        self._assign_deps: Dict[str, Tuple[int, ...]] = {
+            name: tuple(idxs) for name, idxs in deps.items()}
 
     def _spawn_processes(self) -> None:
         self._processes: List[_Process] = []
@@ -332,7 +272,11 @@ class SoftwareEngine:
             pid += 1
 
     def _run_initial(self, block: ast.InitialBlock):
-        yield from self._exec(block.body)
+        body, suspends = self._stmts.stmt(block.body)
+        if suspends:
+            yield from body()
+        else:
+            body()
 
     def _run_always(self, block: ast.AlwaysBlock):
         ctrl = block.ctrl
@@ -341,10 +285,19 @@ class SoftwareEngine:
             items = [ast.EventItem(None, ast.Ident(n.split(".")))
                      for n in names]
             ctrl = ast.EventControl(False, items, block.ctrl.loc)
-        while True:
-            if ctrl is not None:
+        body, suspends = self._stmts.stmt(block.body)
+        if suspends:
+            while True:
+                if ctrl is not None:
+                    yield ("wait", ctrl)
+                yield from body()
+        elif ctrl is not None:
+            while True:
                 yield ("wait", ctrl)
-            yield from self._exec(block.body)
+                body()
+        else:
+            while True:  # runs until the statement budget runs out
+                body()
 
     # ------------------------------------------------------------------
     # Value access and change notification
@@ -363,10 +316,7 @@ class SoftwareEngine:
     def poke(self, name: str, value: Bits) -> None:
         """Deliver an input change (ABI write)."""
         var = self.design.vars[name]
-        v = value.as_signed() if var.signed else value.as_unsigned()
-        v = v.extend(var.width) if v.width < var.width \
-            else v.resize(var.width)
-        self._set_var(name, v)
+        self._set_var(name, coerce(value, var.width, var.signed))
 
     def _set_var(self, name: str, value: Bits) -> None:
         old = self.values[name]
@@ -386,12 +336,21 @@ class SoftwareEngine:
         self.arrays[name][offset] = value
         self._notify(name, old, value)
 
+    def _set_bits(self, name: str, hilo: Tuple[int, int],
+                  value: Bits) -> None:
+        old = self.values[name]
+        self._set_var(name, old.set_part(hilo[0], hilo[1], value))
+
     def _notify(self, name: str, old: Bits, new: Bits) -> None:
-        var = self.design.vars.get(name)
-        if var is not None and var.direction == "output":
+        if name in self._outputs:
             self._changed_outputs.add(name)
-        for idx in self._assign_deps.get(name, ()):
-            self._mark_assign(idx)
+        deps = self._assign_deps.get(name)
+        if deps:
+            dirty = self._dirty_set
+            for idx in deps:
+                if idx not in dirty:
+                    dirty.add(idx)
+                    self._dirty_assigns.append(idx)
         entries = self._waits_by_name.get(name)
         if entries:
             self._check_waits(name, list(entries))
@@ -404,7 +363,7 @@ class SoftwareEngine:
     def _check_waits(self, changed: str, entries: List[_WaitEntry]) -> None:
         for entry in entries:
             satisfied = False
-            for i, (edge, expr, prev, names) in enumerate(entry.items):
+            for i, (edge, value_of, prev, names) in enumerate(entry.items):
                 if changed not in names:
                     continue
                 if prev is None:
@@ -414,8 +373,8 @@ class SoftwareEngine:
                     if edge is None:
                         satisfied = True
                     continue
-                new = self.evaluator.eval_self(expr)
-                entry.items[i] = (edge, expr, new, names)
+                new = value_of()
+                entry.items[i] = (edge, value_of, new, names)
                 if edge is None:
                     if new.aval != prev.aval or new.bval != prev.bval:
                         satisfied = True
@@ -444,15 +403,20 @@ class SoftwareEngine:
             for item in ctrl.items:
                 item_names = frozenset(read_set_of(item.expr))
                 # A bare signal reference — the overwhelmingly common
-                # case (@(posedge clk)) — can skip the evaluator and
-                # read the value dict directly on every registration.
+                # case (@(posedge clk)) — reads the value dict directly.
                 ident = item.expr.name \
                     if isinstance(item.expr, ast.Ident) else None
                 # A bare memory reference has no scalar value to
                 # snapshot; it is tracked purely by change
                 # notification (prev sentinel None).
                 is_mem = ident is not None and ident in self.arrays
-                item_meta.append((item.edge, item.expr, item_names,
+                if is_mem:
+                    value_of = None
+                elif ident is not None and ident in self.values:
+                    value_of = partial(self.values.__getitem__, ident)
+                else:
+                    value_of = self._stmts.x.build(item.expr)
+                item_meta.append((item.edge, value_of, item_names,
                                   ident, is_mem))
                 all_names |= item_names
             meta = (item_meta, tuple(all_names))
@@ -460,421 +424,59 @@ class SoftwareEngine:
         item_meta, names = meta
         values = self.values
         items = []
-        for edge, expr, item_names, ident, is_mem in item_meta:
+        for edge, value_of, item_names, ident, is_mem in item_meta:
             if is_mem:
-                items.append((edge, expr, None, item_names))
+                items.append((edge, value_of, None, item_names))
                 continue
             current = values.get(ident) if ident is not None else None
             if current is None:
-                current = self.evaluator.eval_self(expr)
-            items.append((edge, expr, current, item_names))
+                current = value_of()
+            items.append((edge, value_of, current, item_names))
         entry = _WaitEntry(process, items, names)
         waits = self._waits_by_name
         for name in names:
             waits.setdefault(name, []).append(entry)
 
     # ------------------------------------------------------------------
-    # Statement execution (generator-based)
-    # ------------------------------------------------------------------
-    def _budget(self) -> None:
-        self._stmt_budget -= 1
-        if self._stmt_budget <= 0:
-            raise EvalError(
-                "statement budget exhausted (runaway loop in procedural "
-                "code?)")
-
-    def _exec(self, stmt: Optional[ast.Stmt]):
-        if stmt is None:
-            return
-        self._budget()
-        if isinstance(stmt, ast.Block):
-            for sub in stmt.stmts:
-                yield from self._exec(sub)
-        elif isinstance(stmt, ast.BlockingAssign):
-            self._do_blocking(stmt)
-        elif isinstance(stmt, ast.NonblockingAssign):
-            self._do_nonblocking(stmt)
-        elif isinstance(stmt, ast.If):
-            cond = self.evaluator.eval_self(stmt.cond)
-            if bool(cond):
-                yield from self._exec(stmt.then)
-            else:
-                yield from self._exec(stmt.els)
-        elif isinstance(stmt, ast.Case):
-            yield from self._exec_case(stmt)
-        elif isinstance(stmt, ast.For):
-            self._do_blocking(stmt.init)
-            while self.evaluator.eval_bool(stmt.cond):
-                self._budget()
-                yield from self._exec(stmt.body)
-                self._do_blocking(stmt.step)
-        elif isinstance(stmt, ast.While):
-            while self.evaluator.eval_bool(stmt.cond):
-                self._budget()
-                yield from self._exec(stmt.body)
-        elif isinstance(stmt, ast.RepeatStmt):
-            count = self.evaluator.eval_self(stmt.count)
-            n = 0 if count.has_xz else count.to_uint()
-            for _ in range(n):
-                self._budget()
-                yield from self._exec(stmt.body)
-        elif isinstance(stmt, ast.Forever):
-            while True:
-                self._budget()
-                yield from self._exec(stmt.body)
-        elif isinstance(stmt, ast.DelayStmt):
-            amount = self.evaluator.eval_self(stmt.amount)
-            n = 1 if amount.has_xz else max(amount.to_uint(), 0)
-            yield ("delay", n)
-            yield from self._exec(stmt.stmt)
-        elif isinstance(stmt, ast.EventStmt):
-            yield ("wait", stmt.ctrl)
-            yield from self._exec(stmt.stmt)
-        elif isinstance(stmt, ast.SysTask):
-            self._do_systask(stmt)
-        elif isinstance(stmt, ast.NullStmt):
-            pass
-        else:
-            raise EvalError(f"cannot execute {type(stmt).__name__}")
-
-    def _select_case_arm(self, stmt: ast.Case) -> Optional[ast.Stmt]:
-        """The body of the matching case arm (or default), or None."""
-        wild_x = stmt.kind == "casex"
-        is_plain = stmt.kind == "case"
-        sel_w, sel_s = natural_size(stmt.expr, self.scope)
-        widths = [sel_w]
-        for item in stmt.items:
-            for e in item.exprs or []:
-                widths.append(natural_size(e, self.scope)[0])
-        w = max(widths)
-        selector = self.evaluator.eval(stmt.expr, w).resize(w)
-        default_body = None
-        for item in stmt.items:
-            if item.exprs is None:
-                default_body = item.body
-                continue
-            for e in item.exprs:
-                label = self.evaluator.eval(e, w).resize(w)
-                if is_plain:
-                    hit = bool(selector.case_eq(label))
-                else:
-                    hit = selector.matches(label, wild_x)
-                if hit:
-                    return item.body
-        return default_body
-
-    def _exec_case(self, stmt: ast.Case):
-        body = self._select_case_arm(stmt)
-        if body is not None:
-            yield from self._exec(body)
-
-    # ------------------------------------------------------------------
-    # Assignment machinery
-    # ------------------------------------------------------------------
-    def _do_blocking(self, stmt: ast.BlockingAssign) -> None:
-        width = assign_target_width(stmt.lhs, self.scope)
-        value = self.evaluator.eval(stmt.rhs, width)
-        for op in self._resolve_targets(stmt.lhs, value):
-            self._apply_write(op)
-
-    def _do_nonblocking(self, stmt: ast.NonblockingAssign) -> None:
-        width = assign_target_width(stmt.lhs, self.scope)
-        value = self.evaluator.eval(stmt.rhs, width)
-        self._update_queue.extend(self._resolve_targets(stmt.lhs, value))
-
-    def run_continuous(self, assign: ast.ContinuousAssign) -> None:
-        """(Re-)evaluate one continuous assign."""
-        width = assign_target_width(assign.lhs, self.scope)
-        value = self.evaluator.eval(assign.rhs, width)
-        for op in self._resolve_targets(assign.lhs, value):
-            self._apply_write(op)
-
-    def _resolve_targets(self, lhs: ast.Expr, value: Bits) -> List[Tuple]:
-        """Lower an l-value + value into primitive write operations.
-
-        Ops: ("var", name, bits) | ("word", name, index, bits) |
-        ("bits", name, hi, lo, bits).
-        """
-        ops: List[Tuple] = []
-        self._resolve_into(lhs, value, ops)
-        return ops
-
-    def _resolve_into(self, lhs: ast.Expr, value: Bits,
-                      ops: List[Tuple]) -> None:
-        if isinstance(lhs, ast.Concat):
-            total = sum(natural_size(p, self.scope)[0] for p in lhs.parts)
-            v = value.resize(total) if value.width >= total \
-                else value.extend(total)
-            pos = total
-            for part in lhs.parts:
-                w = natural_size(part, self.scope)[0]
-                chunk = v.part(pos - 1, pos - w)
-                self._resolve_into(part, chunk, ops)
-                pos -= w
-            return
-        if isinstance(lhs, ast.Ident):
-            var = self.design.vars.get(lhs.name)
-            if var is None:
-                raise EvalError(f"assignment to undeclared {lhs.name!r}")
-            v = value.as_signed() if var.signed else value.as_unsigned()
-            v = v.extend(var.width) if v.width < var.width \
-                else v.resize(var.width)
-            ops.append(("var", lhs.name, v))
-            return
-        if isinstance(lhs, ast.IndexExpr):
-            base = lhs.base
-            if not isinstance(base, ast.Ident):
-                raise EvalError("unsupported nested l-value")
-            index = self.evaluator.eval_self(lhs.index)
-            if index.has_xz:
-                return  # write to x index is discarded
-            var = self.design.vars.get(base.name)
-            if var is None:
-                raise EvalError(f"assignment to undeclared {base.name!r}")
-            if var.is_array:
-                v = value.extend(var.width) if value.width < var.width \
-                    else value.resize(var.width)
-                ops.append(("word", base.name, index.to_uint(), v))
-            else:
-                offset = self._lvalue_offset(var, index.to_int()
-                                             if index.signed
-                                             else index.to_uint())
-                if offset is not None:
-                    ops.append(("bits", base.name, offset, offset,
-                                value.resize(1)))
-            return
-        if isinstance(lhs, ast.RangeExpr):
-            base = lhs.base
-            if not isinstance(base, ast.Ident):
-                raise EvalError("unsupported nested l-value")
-            var = self.design.vars.get(base.name)
-            if var is None:
-                raise EvalError(f"assignment to undeclared {base.name!r}")
-            bounds = self._range_bounds(lhs, var)
-            if bounds is None:
-                return
-            hi, lo = bounds
-            width = hi - lo + 1
-            v = value.resize(width) if value.width >= width \
-                else value.extend(width)
-            ops.append(("bits", base.name, hi, lo, v))
-            return
-        raise EvalError(f"invalid l-value {type(lhs).__name__}")
-
-    def _lvalue_offset(self, var: Var, index: int) -> Optional[int]:
-        if var.msb >= var.lsb:
-            offset = index - var.lsb
-        else:
-            offset = var.lsb - index
-        if 0 <= offset < var.width:
-            return offset
-        return None
-
-    def _range_bounds(self, lhs: ast.RangeExpr,
-                      var: Var) -> Optional[Tuple[int, int]]:
-        descending = var.msb >= var.lsb
-
-        def offset_of(idx: int) -> int:
-            return idx - var.lsb if descending else var.lsb - idx
-
-        if lhs.mode == ":":
-            msb = self.evaluator.eval_self(lhs.left)
-            lsb = self.evaluator.eval_self(lhs.right)
-            if msb.has_xz or lsb.has_xz:
-                return None
-            hi = offset_of(msb.to_int() if msb.signed else msb.to_uint())
-            lo = offset_of(lsb.to_int() if lsb.signed else lsb.to_uint())
-        else:
-            start = self.evaluator.eval_self(lhs.left)
-            width_b = self.evaluator.eval_self(lhs.right)
-            if start.has_xz or width_b.has_xz:
-                return None
-            s = start.to_int() if start.signed else start.to_uint()
-            w = width_b.to_uint()
-            if lhs.mode == "+:":
-                if descending:
-                    hi, lo = offset_of(s) + w - 1, offset_of(s)
-                else:
-                    hi, lo = offset_of(s), offset_of(s) - w + 1
-            else:
-                if descending:
-                    hi, lo = offset_of(s), offset_of(s) - w + 1
-                else:
-                    hi, lo = offset_of(s) + w - 1, offset_of(s)
-        if hi < lo:
-            hi, lo = lo, hi
-        hi = min(hi, var.width - 1)
-        lo = max(lo, 0)
-        if hi < lo:
-            return None
-        return hi, lo
-
-    def _apply_write(self, op: Tuple) -> None:
-        kind = op[0]
-        if kind == "var":
-            _, name, value = op
-            self._set_var(name, value)
-        elif kind == "word":
-            _, name, index, value = op
-            self._set_word(name, index, value)
-        else:
-            _, name, hi, lo, value = op
-            old = self.values[name]
-            self._set_var(name, old.set_part(hi, lo, value))
-
-    # ------------------------------------------------------------------
-    # Functions and system tasks
+    # Functions and system tasks (called from the built closures)
     # ------------------------------------------------------------------
     def call_function(self, name: str, args: List[Bits]) -> Bits:
         fn: Function = self.design.functions[name]
+        run = self._functions.get(name)
+        if run is None:
+            run = self._functions[name] = StmtBuilder(self, fn).function()
         frame: Dict[str, Bits] = {}
         for (pname, width, signed), value in zip(fn.ports, args):
-            v = value.as_signed() if signed else value.as_unsigned()
-            frame[pname] = v.extend(width) if v.width < width \
-                else v.resize(width)
+            frame[pname] = coerce(value, width, signed)
         for lname, width, signed in fn.locals_:
             frame[lname] = Bits.xes(width) if not signed \
                 else Bits.xes(width).as_signed()
-        frame[fn.name.split(".")[-1]] = Bits.xes(fn.ret_width)
-        frame[fn.name] = frame[fn.name.split(".")[-1]]
-        self.scope.push_frame(frame)
-        try:
-            self._exec_function_body(fn, frame)
-        finally:
-            self.scope.pop_frame()
-        result = frame.get(fn.name.split(".")[-1], Bits.xes(fn.ret_width))
+        short = fn.name.split(".")[-1]
+        frame[short] = frame[fn.name] = Bits.xes(fn.ret_width)
+        run(frame)
+        result = frame.get(short, Bits.xes(fn.ret_width))
         return result.as_signed() if fn.ret_signed else result
 
-    def _exec_function_body(self, fn: Function,
-                            frame: Dict[str, Bits]) -> None:
-        short = fn.name.split(".")[-1]
+    def random(self, seed: Optional[Bits]) -> Bits:
+        """``$random``: xorshift32, deterministic, decent spectral
+        behaviour; a known seed argument reseeds it."""
+        if seed is not None and not seed.bval:
+            self._rand_state = seed.aval & 0xFFFFFFFF or 1
+        s = self._rand_state
+        s ^= (s << 13) & 0xFFFFFFFF
+        s ^= s >> 17
+        s ^= (s << 5) & 0xFFFFFFFF
+        self._rand_state = s
+        return Bits.from_int(s, 32, signed=True)
 
-        def run(stmt: Optional[ast.Stmt]) -> None:
-            if stmt is None:
-                return
-            self._budget()
-            if isinstance(stmt, ast.Block):
-                for sub in stmt.stmts:
-                    run(sub)
-            elif isinstance(stmt, ast.BlockingAssign):
-                lhs = stmt.lhs
-                width = assign_target_width(lhs, self.scope)
-                value = self.evaluator.eval(stmt.rhs, width)
-                target = lhs
-                if isinstance(target, ast.Ident) and \
-                        target.name in frame:
-                    cur = frame[target.name]
-                    v = value.as_signed() if cur.signed \
-                        else value.as_unsigned()
-                    v = v.extend(cur.width) if v.width < cur.width \
-                        else v.resize(cur.width)
-                    frame[target.name] = v
-                    if target.name == short:
-                        frame[fn.name] = v
-                elif isinstance(target, (ast.IndexExpr, ast.RangeExpr)) \
-                        and isinstance(target.base, ast.Ident) \
-                        and target.base.name in frame:
-                    cur = frame[target.base.name]
-                    if isinstance(target, ast.IndexExpr):
-                        idx = self.evaluator.eval_self(target.index)
-                        if idx.has_xz:
-                            return
-                        offset = idx.to_uint()
-                        if 0 <= offset < cur.width:
-                            frame[target.base.name] = cur.set_part(
-                                offset, offset, value.resize(1))
-                    else:
-                        fake = Var(target.base.name, "reg", cur.width,
-                                   cur.signed, cur.width - 1, 0)
-                        bounds = self._range_bounds(target, fake)
-                        if bounds:
-                            hi, lo = bounds
-                            frame[target.base.name] = cur.set_part(
-                                hi, lo, value)
-                    if target.base.name == short:
-                        frame[fn.name] = frame[target.base.name]
-                else:
-                    for op in self._resolve_targets(lhs, value):
-                        self._apply_write(op)
-            elif isinstance(stmt, ast.If):
-                if self.evaluator.eval_bool(stmt.cond):
-                    run(stmt.then)
-                else:
-                    run(stmt.els)
-            elif isinstance(stmt, ast.Case):
-                run(self._select_case_arm(stmt))
-            elif isinstance(stmt, ast.For):
-                run(stmt.init)
-                while self.evaluator.eval_bool(stmt.cond):
-                    self._budget()
-                    run(stmt.body)
-                    run(stmt.step)
-            elif isinstance(stmt, ast.While):
-                while self.evaluator.eval_bool(stmt.cond):
-                    self._budget()
-                    run(stmt.body)
-            elif isinstance(stmt, ast.RepeatStmt):
-                count = self.evaluator.eval_self(stmt.count)
-                for _ in range(0 if count.has_xz else count.to_uint()):
-                    run(stmt.body)
-            elif isinstance(stmt, ast.SysTask):
-                self._do_systask(stmt)
-            elif isinstance(stmt, ast.NullStmt):
-                pass
-            else:
-                raise EvalError(
-                    f"{type(stmt).__name__} not allowed in function body")
+    def finish(self, code: int) -> None:
+        self._finished = code
+        self.services.finish(code)
 
-        run(fn.body)
+    def add_monitor(self, render: Callable[[], str]) -> None:
+        self._monitors.append((render, None))
 
-    def sys_func(self, name: str, args: List[ast.Expr],
-                 evaluator: ExprEvaluator) -> Bits:
-        if name in ("$time", "$stime"):
-            return Bits.from_int(self.services.now(), 64)
-        if name == "$random":
-            if args:
-                seed = evaluator.eval_self(args[0])
-                if not seed.has_xz:
-                    self._rand_state = seed.to_uint() & 0xFFFFFFFF or 1
-            # xorshift32: deterministic, decent spectral behaviour.
-            s = self._rand_state
-            s ^= (s << 13) & 0xFFFFFFFF
-            s ^= s >> 17
-            s ^= (s << 5) & 0xFFFFFFFF
-            self._rand_state = s
-            return Bits.from_int(s, 32, signed=True)
-        raise EvalError(f"unknown system function {name!r}")
-
-    def _do_systask(self, stmt: ast.SysTask) -> None:
-        name = stmt.name
-        if name in ("$display", "$write"):
-            rendered = self._render_args(stmt.args)
-            self.services.display(rendered, newline=name == "$display")
-        elif name == "$monitor":
-            self._monitors.append((stmt.args, None))
-        elif name in ("$finish", "$stop"):
-            code = 0
-            if stmt.args:
-                v = self.evaluator.eval_self(stmt.args[0])
-                code = 0 if v.has_xz else v.to_uint()
-            self._finished = code
-            self.services.finish(code)
-        elif name in ("$readmemh", "$readmemb"):
-            self._do_readmem(stmt, base=16 if name == "$readmemh" else 2)
-        else:
-            raise EvalError(f"unknown system task {name!r}")
-
-    def _render_args(self, args: List[ast.Expr]) -> str:
-        rendered: List[object] = []
-        for a in args:
-            if isinstance(a, ast.StringLit):
-                rendered.append(a.value)
-            else:
-                rendered.append(self.evaluator.eval_self(a))
-        return format_display(rendered, self.design.name,
-                              self.services.now())
-
-    def _do_readmem(self, stmt: ast.SysTask, base: int) -> None:
+    def readmem(self, stmt: ast.SysTask, base: int) -> None:
         if len(stmt.args) < 2 or not isinstance(stmt.args[0],
                                                 ast.StringLit):
             raise EvalError("$readmem requires a path and a memory")
@@ -916,7 +518,11 @@ class SoftwareEngine:
             if self._dirty_assigns:
                 idx = self._dirty_assigns.popleft()
                 self._dirty_set.discard(idx)
-                self.run_continuous(self.design.assigns[idx])
+                run = self._assign_fns[idx]
+                if run is None:
+                    run = self._assign_fns[idx] = self._stmts.continuous(
+                        self.design.assigns[idx])
+                run()
                 continue
             proc = self._runnable.popleft()
             self._resume(proc)
@@ -952,8 +558,8 @@ class SoftwareEngine:
     def update(self) -> None:
         """Apply all queued nonblocking updates atomically."""
         queue, self._update_queue = self._update_queue, []
-        for op in queue:
-            self._apply_write(op)
+        for setter, key, value in queue:
+            setter(key, value)
 
     def end_step(self) -> None:
         """Called between time steps: wake delayed processes whose time
@@ -962,10 +568,10 @@ class SoftwareEngine:
         while self._sleeping and self._sleeping[0][0] <= now:
             _, _, proc = heapq.heappop(self._sleeping)
             self._runnable.append(proc)
-        for i, (args, last) in enumerate(self._monitors):
-            text = self._render_args(args)
+        for i, (render, last) in enumerate(self._monitors):
+            text = render()
             if text != last:
-                self._monitors[i] = (args, text)
+                self._monitors[i] = (render, text)
                 self.services.display(text)
 
     def end(self) -> None:

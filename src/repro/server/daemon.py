@@ -113,6 +113,8 @@ class CascadeServer:
             "server.sessions_rejected")
         self._c_sessions_evicted = self.metrics.counter(
             "server.sessions_evicted")
+        # Counted by the scheduler; created now so snapshots read 0.
+        self.metrics.counter("server.internal_errors")
         self._closed_totals = {"frames_in": 0, "frames_out": 0,
                                "dropped_outputs": 0,
                                "cross_tenant_hits": 0,

@@ -98,16 +98,26 @@ class SessionScheduler:
                     if self._turn(session):
                         busy = True
                 except Exception as exc:
-                    # A broken session must not take the table down.
-                    session.push_frame({
-                        "type": "error",
-                        "message": f"internal error: {exc}"})
-                    self.server.close_session(session,
-                                              "internal-error")
+                    # A broken session must not take the table down:
+                    # count it, explain it, and close only that session.
+                    self._internal_error(session, exc)
             self.server.sweep_idle()
             if not busy:
                 self._wake.wait(timeout=0.02)
                 self._wake.clear()
+
+    def _internal_error(self, session: Session, exc: Exception) -> None:
+        error_type = type(exc).__name__
+        self.server.metrics.counter("server.internal_errors").inc()
+        tr = tracer()
+        if tr.enabled:
+            tr.emit("server_internal_error", "server",
+                    args={"session": session.id,
+                          "error_type": error_type, "error": str(exc)})
+        session.push_frame({
+            "type": "error", "error_type": error_type,
+            "message": f"internal error: {error_type}: {exc}"})
+        self.server.close_session(session, "internal-error")
 
     # ------------------------------------------------------------------
     def _turn(self, session: Session) -> bool:

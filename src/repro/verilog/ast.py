@@ -16,10 +16,37 @@ The tree distinguishes three layers:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+import copy
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..common.bits import Bits
 from ..common.errors import SourceLocation
+
+#: Values a deep copy shares instead of copying (all immutable).
+_ATOMS = (str, int, bool, type(None), Bits, SourceLocation)
+_SLOT_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+
+def _slot_names(cls: type) -> Tuple[str, ...]:
+    names = _SLOT_NAMES.get(cls)
+    if names is None:
+        names = _SLOT_NAMES[cls] = tuple(
+            name for klass in reversed(cls.__mro__)
+            for name in klass.__dict__.get("__slots__", ()))
+    return names
+
+
+def _deepcopy_value(value, memo):
+    if isinstance(value, _ATOMS):
+        return value
+    if isinstance(value, Node):
+        done = memo.get(id(value))
+        return done if done is not None else value.__deepcopy__(memo)
+    if type(value) is list:
+        return [_deepcopy_value(v, memo) for v in value]
+    if type(value) is tuple and all(isinstance(v, _ATOMS) for v in value):
+        return value
+    return copy.deepcopy(value, memo)
 
 
 class Node:
@@ -30,6 +57,21 @@ class Node:
 
     def __init__(self, loc: Optional[SourceLocation] = None):
         self.loc = loc or SourceLocation()
+
+    def __deepcopy__(self, memo) -> "Node":
+        # Slot by slot: the generic reduce-based deep copy dominates
+        # elaboration, which copies every module item it rewrites.
+        # Source locations, literals and names are immutable: shared.
+        cls = self.__class__
+        new = object.__new__(cls)
+        memo[id(self)] = new
+        for name in _slot_names(cls):
+            try:
+                value = getattr(self, name)
+            except AttributeError:
+                continue
+            object.__setattr__(new, name, _deepcopy_value(value, memo))
+        return new
 
     def children(self) -> Iterable["Node"]:
         """All direct child nodes, in field order."""
@@ -56,7 +98,19 @@ class Node:
 # Expressions
 # ======================================================================
 class Expr(Node):
-    __slots__ = ()
+    """Base class for expressions.
+
+    ``ann`` holds the width annotation that :mod:`repro.verilog.widths`
+    records on elaborated designs: an interned ``(width, signed, ctx,
+    ctx_signed)`` tuple, or None on a node that was never annotated
+    (parse-time trees are never annotated).
+    """
+
+    __slots__ = ("ann",)
+
+    def __init__(self, loc: Optional[SourceLocation] = None):
+        super().__init__(loc)
+        self.ann = None
 
 
 class Number(Expr):
@@ -90,15 +144,21 @@ class Ident(Expr):
     """A (possibly hierarchical) name such as ``cnt`` or ``r.y``."""
 
     _fields = ()
-    __slots__ = ("parts",)
+    __slots__ = ("_parts", "name")
 
     def __init__(self, parts: Sequence[str], loc=None):
         super().__init__(loc)
-        self.parts = tuple(parts)
+        self.parts = parts
 
     @property
-    def name(self) -> str:
-        return ".".join(self.parts)
+    def parts(self) -> Tuple[str, ...]:
+        return self._parts
+
+    @parts.setter
+    def parts(self, parts: Sequence[str]) -> None:
+        # The dotted name is read on every lookup; join it once here.
+        self._parts = tuple(parts)
+        self.name = ".".join(self._parts)
 
     @property
     def is_hierarchical(self) -> bool:

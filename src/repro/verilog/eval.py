@@ -1,488 +1,489 @@
-"""Expression evaluation with IEEE 1364 context-determined sizing.
+"""Expression evaluation: width-annotated expressions built into closures.
 
 This module is the single implementation of Verilog expression semantics.
 It is shared by:
 
-* the reference interpreter (:mod:`repro.interp.engine`),
-* constant evaluation during elaboration (:mod:`repro.verilog.elaborate`),
-* the backend's constant folding.
+* the reference interpreter (:mod:`repro.interp.engine`), which binds
+  names to its live state by subclassing :class:`ExprBuilder`,
+* constant evaluation during elaboration (:func:`const_eval`).
 
-The evaluator follows the two-pass discipline of §5.4/§5.5 of the spec:
-:func:`natural_size` computes each expression's self-determined width and
-signedness bottom-up, then :meth:`ExprEvaluator.eval` evaluates top-down
-with the context width (the max of the naturals along the operand chain
-and, for assignments, the l-value width), extending operands using the
-*expression's* signedness, which is signed only when every operand is.
+:mod:`repro.verilog.widths` has already recorded every node's natural
+size and evaluation context (IEEE 1364 §5.4/§5.5), so building is a
+single walk: each node becomes a nested Python closure returning
+:class:`Bits`, with its widths, signedness and coercions baked in.
+Subtrees without names or calls fold to constants at build time.
+Running a closure performs exactly the four-state operations the spec
+prescribes, in the same order, so results carry the same width, planes
+and signedness as a tree walk of the same expression.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..common.bits import Bits
-from ..common.errors import EvalError, TypeError_
+from ..common.errors import EvalError
 from . import ast
+from .widths import annotate_expr
 
-__all__ = ["Scope", "ExprEvaluator", "natural_size", "assign_target_width",
-           "const_eval", "ConstScope"]
+__all__ = ["ExprBuilder", "Frame", "coerce", "const_eval", "const_int"]
 
+Thunk = Callable[[], Bits]
 
-class Scope(Protocol):
-    """What the evaluator needs to know about the surrounding design."""
-
-    def width_sign(self, name: str) -> Tuple[int, bool]:
-        """(width, signed) of a scalar/vector variable, by full name."""
-        ...
-
-    def is_array(self, name: str) -> bool:
-        """True when the name is a memory (unpacked array)."""
-        ...
-
-    def element_width_sign(self, name: str) -> Tuple[int, bool]:
-        """(width, signed) of one word of an array."""
-        ...
-
-    def read(self, name: str) -> Bits:
-        """Current value of a scalar/vector variable."""
-        ...
-
-    def read_word(self, name: str, index: int) -> Bits:
-        """Current value of array word ``name[index]``."""
-        ...
-
-    def range_of(self, name: str) -> Tuple[int, int]:
-        """Declared (msb, lsb) of the variable, for select indexing."""
-        ...
-
-    def function_width_sign(self, name: str) -> Tuple[int, bool]:
-        """(width, signed) of a user function's return value."""
-        ...
-
-    def call_function(self, name: str, args: List[Bits]) -> Bits:
-        ...
-
-    def function_port_widths(self, name: str) -> List[Tuple[int, bool]]:
-        ...
-
-    def sys_func(self, name: str, args: List[ast.Expr],
-                 evaluator: "ExprEvaluator") -> Bits:
-        """Evaluate a system function such as $time or $random."""
-        ...
+_xes = Bits.xes
 
 
-# ----------------------------------------------------------------------
-# Natural (self-determined) size and signedness
-# ----------------------------------------------------------------------
-_ARITH_OPS = frozenset(["+", "-", "*", "/", "%"])
-_BITWISE_OPS = frozenset(["&", "|", "^", "^~", "~^"])
-_COMPARE_OPS = frozenset(["==", "!=", "===", "!==", "<", "<=", ">", ">="])
-_LOGICAL_OPS = frozenset(["&&", "||"])
-_SHIFT_OPS = frozenset(["<<", ">>", "<<<", ">>>"])
-_REDUCTION_OPS = frozenset(["&", "~&", "|", "~|", "^", "~^", "^~"])
+def coerce(v: Bits, ctx: int, signed: bool) -> Bits:
+    """``v`` reinterpreted with ``signed`` and extended or truncated to
+    ``ctx`` bits (extension pads with the sign bit when signed, with an
+    x/z MSB when that bit is unknown, else with zeros)."""
+    w = v.width
+    if w == ctx:
+        return v if v.signed == signed else Bits(w, v.aval, v.bval, signed)
+    a, b = v.aval, v.bval
+    if w > ctx:
+        return Bits(ctx, a, b, signed)
+    top = w - 1
+    if (b >> top) & 1:
+        ext = ((1 << (ctx - w)) - 1) << w
+        return Bits(ctx, a | ext if (a >> top) & 1 else a, b | ext, signed)
+    if signed and (a >> top) & 1:
+        return Bits(ctx, a | (((1 << (ctx - w)) - 1) << w), b, True)
+    return Bits(ctx, a, b, signed)
 
 
-def natural_size(expr: ast.Expr, scope: Scope) -> Tuple[int, bool]:
-    """(width, signed) of the expression, self-determined."""
-    if isinstance(expr, ast.Number):
-        return expr.value.width, expr.value.signed
-    if isinstance(expr, ast.StringLit):
-        return max(8 * len(expr.value), 8), False
-    if isinstance(expr, ast.Ident):
+def _const(value: Bits) -> Thunk:
+    return lambda: value
+
+
+class Frame:
+    """A function's local variables while its body runs: their declared
+    (width, signed), and a one-slot cell holding the active frame dict."""
+
+    __slots__ = ("sizes", "cell")
+
+    def __init__(self, sizes: Dict[str, Tuple[int, bool]]):
+        self.sizes = sizes
+        self.cell: List[Optional[Dict[str, Bits]]] = [None]
+
+
+class ExprBuilder:
+    """Builds annotated expressions into closures ``() -> Bits``.
+
+    This base class is the constant environment: no variables, no
+    functions, no system functions.  The interpreter subclasses it,
+    pointing :attr:`vars`, :attr:`values` and :attr:`arrays` at a
+    design's live state and overriding :meth:`call_function` and
+    :meth:`sys_func`.  :attr:`frame` is set when building a function
+    body, whose local names shadow design variables.
+    """
+
+    vars: Dict = {}
+    functions: Dict = {}
+    values: Dict[str, Bits] = {}
+    arrays: Dict[str, List[Bits]] = {}
+    frame: Optional[Frame] = None
+
+    # -- hooks ------------------------------------------------------------
+    def call_function(self, name: str) -> Callable[[List[Bits]], Bits]:
+        raise EvalError(f"function call {name!r} in constant expression")
+
+    def sys_func(self, name: str, args: List[ast.Expr]) -> Thunk:
+        raise EvalError(f"system function {name!r} in constant expression")
+
+    # -- public -----------------------------------------------------------
+    def build(self, expr: ast.Expr) -> Thunk:
+        """A closure evaluating ``expr`` at its annotated context."""
+        fn, k = self._build(expr)
+        return fn if k is None else _const(k)
+
+    def build_bool(self, expr: ast.Expr) -> Callable[[], bool]:
+        """A closure for condition truthiness (a known-1 bit)."""
+        fn, k = self._build(expr)
+        if k is not None:
+            truth = bool(k)
+            return lambda: truth
+
+        def truth_of():
+            v = fn()
+            return bool(v.aval & ~v.bval)
+        return truth_of
+
+    def build_folded(self, expr: ast.Expr
+                     ) -> Tuple[Thunk, Optional[Bits]]:
+        """``(closure, value)``: value is the constant ``expr`` folds
+        to, else None."""
+        return self._build(expr)
+
+    # -- core -------------------------------------------------------------
+    def _build(self, e: ast.Expr) -> Tuple[Thunk, Optional[Bits]]:
+        if e.ann is None:
+            raise EvalError(
+                f"{type(e).__name__} at {e.loc} was never width-annotated")
+        method = _DISPATCH.get(type(e))
+        if method is None:
+            raise EvalError(f"cannot evaluate {type(e).__name__}")
+        fn, pure = method(self, e)
+        if pure is None:
+            return fn, None
+        if isinstance(pure, Bits):
+            return fn, pure
+        # A pure node over constant operands: fold it now.  An operation
+        # that raises keeps raising when the closure runs.
         try:
-            return scope.width_sign(expr.name)
-        except KeyError:
-            raise TypeError_(f"undeclared identifier {expr.name!r}",
-                             expr.loc) from None
-    if isinstance(expr, ast.IndexExpr):
-        base = expr.base
-        if isinstance(base, ast.Ident) and scope.is_array(base.name):
-            return scope.element_width_sign(base.name)
-        return 1, False
-    if isinstance(expr, ast.RangeExpr):
-        if expr.mode == ":":
-            msb = const_int(expr.left, scope, "part-select msb")
-            lsb = const_int(expr.right, scope, "part-select lsb")
-            return abs(msb - lsb) + 1, False
-        width = const_int(expr.right, scope, "part-select width")
-        if width <= 0:
-            raise TypeError_("part-select width must be positive", expr.loc)
-        return width, False
-    if isinstance(expr, ast.Unary):
-        if expr.op in ("!",) or expr.op in _REDUCTION_OPS:
-            return 1, False
-        return natural_size(expr.operand, scope)
-    if isinstance(expr, ast.Binary):
-        if expr.op in _COMPARE_OPS or expr.op in _LOGICAL_OPS:
-            return 1, False
-        lw, ls = natural_size(expr.lhs, scope)
-        if expr.op in _SHIFT_OPS or expr.op == "**":
-            return lw, ls
-        rw, rs = natural_size(expr.rhs, scope)
-        return max(lw, rw), ls and rs
-    if isinstance(expr, ast.Ternary):
-        tw, ts = natural_size(expr.then, scope)
-        ew, es = natural_size(expr.els, scope)
-        return max(tw, ew), ts and es
-    if isinstance(expr, ast.Concat):
-        return sum(natural_size(p, scope)[0] for p in expr.parts), False
-    if isinstance(expr, ast.Repeat):
-        count = const_int(expr.count, scope, "replication count")
-        if count <= 0:
-            raise TypeError_("replication count must be positive", expr.loc)
-        inner, _ = natural_size(expr.inner, scope)
-        return count * inner, False
-    if isinstance(expr, ast.Call):
-        name = expr.name
-        if name == "$signed":
-            w, _ = natural_size(expr.args[0], scope)
-            return w, True
-        if name == "$unsigned":
-            w, _ = natural_size(expr.args[0], scope)
-            return w, False
-        if name in ("$time", "$stime"):
-            return 64, False
-        if name == "$random":
-            return 32, True
-        if name == "$clog2":
-            return 32, True
-        if name == "$bits":
-            return 32, False
-        if name.startswith("$"):
-            return 32, False
-        try:
-            return scope.function_width_sign(name)
-        except KeyError:
-            raise TypeError_(f"unknown function {name!r}", expr.loc) \
-                from None
-    raise TypeError_(f"cannot size expression {type(expr).__name__}",
-                     expr.loc)
+            value = fn()
+        except Exception:
+            return fn, None
+        return _const(value), value
 
+    @staticmethod
+    def _fold(*constants) -> Optional[bool]:
+        """True (fold) when every operand folded to a constant."""
+        return True if all(k is not None for k in constants) else None
 
-def assign_target_width(lhs: ast.Expr, scope: Scope) -> int:
-    """Width of an assignment target (drives the RHS context width)."""
-    width, _ = natural_size(lhs, scope)
-    return width
+    def _number(self, e: ast.Number):
+        _, _, ctx, signed = e.ann
+        value = coerce(e.value, ctx, signed)
+        return _const(value), value
 
+    def _string(self, e: ast.StringLit):
+        ctx = e.ann[2]
+        data = e.value.encode("latin-1", "replace") or b"\0"
+        value = int.from_bytes(data, "big")
+        out = Bits.from_int(value, max(ctx, 8 * len(data))).resize(ctx)
+        return _const(out), out
 
-# ----------------------------------------------------------------------
-# Evaluation
-# ----------------------------------------------------------------------
-class ExprEvaluator:
-    """Evaluates expressions against a :class:`Scope`."""
+    def _ident(self, e: ast.Ident):
+        _, _, ctx, signed = e.ann
+        name = e.name
+        frame = self.frame
+        if frame is not None and name in frame.sizes:
+            cell = frame.cell
 
-    def __init__(self, scope: Scope):
-        self.scope = scope
+            def read():
+                v = cell[0][name]
+                if v.width == ctx and v.signed == signed:
+                    return v
+                return coerce(v, ctx, signed)
+            return read, None
+        self._check_var(name)
+        values = self.values
 
-    # -- public API ----------------------------------------------------
-    def eval(self, expr: ast.Expr, min_width: int = 0) -> Bits:
-        """Evaluate with a context at least ``min_width`` wide (use the
-        l-value width for assignment right-hand sides)."""
-        width, signed = natural_size(expr, self.scope)
-        ctx = max(width, min_width)
-        return self._eval_ctx(expr, ctx, signed)
+        def read_var():
+            try:
+                v = values[name]
+            except KeyError:
+                raise EvalError(
+                    f"undeclared identifier {name!r}") from None
+            if v.width == ctx and v.signed == signed:
+                return v
+            return coerce(v, ctx, signed)
+        return read_var, None
 
-    def eval_self(self, expr: ast.Expr) -> Bits:
-        """Evaluate in a purely self-determined context."""
-        return self.eval(expr, 0)
+    def _check_var(self, name: str) -> None:
+        if name not in self.vars:
+            raise EvalError(f"{name!r} is not a constant")
 
-    def eval_bool(self, expr: ast.Expr) -> bool:
-        """Condition truthiness: a known-1 bit somewhere."""
-        return bool(self.eval_self(expr))
+    def _is_array(self, base: ast.Expr) -> bool:
+        if not isinstance(base, ast.Ident):
+            return False
+        frame = self.frame
+        if frame is not None and base.name in frame.sizes:
+            return False
+        var = self.vars.get(base.name)
+        return var is not None and var.is_array
 
-    # -- helpers --------------------------------------------------------
-    def _coerce(self, value: Bits, ctx: int, signed: bool) -> Bits:
-        v = value.as_signed() if signed else value.as_unsigned()
-        if v.width == ctx:
-            return v
-        if v.width > ctx:
-            return v.resize(ctx)
-        return v.extend(ctx)
+    def _range_of(self, name: str) -> Tuple[int, int]:
+        """Declared (msb, lsb) of a scalar name (frame locals are
+        [w-1:0])."""
+        frame = self.frame
+        if frame is not None and name in frame.sizes:
+            return frame.sizes[name][0] - 1, 0
+        var = self.vars[name]
+        return var.msb, var.lsb
 
-    def _eval_ctx(self, expr: ast.Expr, ctx: int, signed: bool) -> Bits:
-        if isinstance(expr, ast.Number):
-            return self._coerce_literal(expr.value, ctx, signed)
-        if isinstance(expr, ast.StringLit):
-            data = expr.value.encode("latin-1", "replace") or b"\0"
-            value = int.from_bytes(data, "big")
-            return Bits.from_int(value, ctx if ctx >= 8 * len(data)
-                                 else 8 * len(data)).resize(ctx) \
-                if ctx else Bits.from_int(value, 8 * len(data))
-        if isinstance(expr, ast.Ident):
-            return self._coerce(self._read_ident(expr), ctx, signed)
-        if isinstance(expr, ast.IndexExpr):
-            return self._coerce(self._eval_index(expr), ctx, signed)
-        if isinstance(expr, ast.RangeExpr):
-            return self._coerce(self._eval_range(expr), ctx, signed)
-        if isinstance(expr, ast.Unary):
-            return self._eval_unary(expr, ctx, signed)
-        if isinstance(expr, ast.Binary):
-            return self._eval_binary(expr, ctx, signed)
-        if isinstance(expr, ast.Ternary):
-            return self._eval_ternary(expr, ctx, signed)
-        if isinstance(expr, ast.Concat):
-            parts = [self.eval_self(p) for p in expr.parts]
-            return self._coerce(Bits.concat(parts), ctx, False)
-        if isinstance(expr, ast.Repeat):
-            count = const_int(expr.count, self.scope, "replication count")
-            inner = self.eval_self(expr.inner)
-            return self._coerce(inner.replicate(count), ctx, False)
-        if isinstance(expr, ast.Call):
-            return self._eval_call(expr, ctx, signed)
-        raise EvalError(f"cannot evaluate {type(expr).__name__}")
+    def _index(self, e: ast.IndexExpr):
+        _, _, ctx, signed = e.ann
+        base = e.base
+        index, ik = self._build(e.index)
+        if self._is_array(base):
+            name = base.name
+            var = self.vars[name]
+            storage = self.arrays[name]
+            width = var.width
+            word_index = var.word_index
 
-    def _coerce_literal(self, value: Bits, ctx: int, signed: bool) -> Bits:
-        v = value.as_signed() if signed else value.as_unsigned()
-        if v.width >= ctx:
-            return v.resize(ctx) if v.width > ctx else v
-        # Literals keep their own sign for extension when the context is
-        # unsigned but the literal is a negative signed constant the
-        # expression has already made unsigned -- the bits were fixed at
-        # parse time, so plain extension with expression sign is correct.
-        return v.extend(ctx)
-
-    def _read_ident(self, expr: ast.Ident) -> Bits:
-        try:
-            return self.scope.read(expr.name)
-        except KeyError:
-            raise EvalError(f"undeclared identifier {expr.name!r}") from None
-
-    def _bit_offset(self, name: str, index: int) -> Optional[int]:
-        """Map a declared index to a physical bit offset, or None if out
-        of the declared range."""
-        msb, lsb = self.scope.range_of(name)
-        if msb >= lsb:
-            offset = index - lsb
-        else:
-            offset = lsb - index
-        width = abs(msb - lsb) + 1
-        if 0 <= offset < width:
-            return offset
-        return None
-
-    def _eval_index(self, expr: ast.IndexExpr) -> Bits:
-        base = expr.base
-        index = self.eval_self(expr.index)
-        if isinstance(base, ast.Ident) and self.scope.is_array(base.name):
-            if index.has_xz:
-                w, _ = self.scope.element_width_sign(base.name)
-                return Bits.xes(w)
-            return self.scope.read_word(base.name, index.to_uint())
+            def word():
+                i = index()
+                if i.bval:
+                    return coerce(_xes(width), ctx, signed)
+                offset = word_index(i.aval)
+                v = _xes(width) if offset is None else storage[offset]
+                if v.width == ctx and v.signed == signed:
+                    return v
+                return coerce(v, ctx, signed)
+            return word, None
+        x1 = coerce(_xes(1), ctx, signed)
         if isinstance(base, ast.Ident):
-            if index.has_xz:
-                return Bits.xes(1)
-            offset = self._bit_offset(base.name, index.to_uint())
-            value = self._read_ident(base)
-            if offset is None:
-                return Bits.xes(1)
-            return value.select(offset)
-        # Bit select of a computed value (e.g. mem[i][j]).
-        value = self.eval_self(base)
-        if index.has_xz:
-            return Bits.xes(1)
-        return value.select(index.to_uint())
+            msb, lsb = self._range_of(base.name)
+            descending = msb >= lsb
+            width = abs(msb - lsb) + 1
+            value, _ = self._build(base)
 
-    def _eval_range(self, expr: ast.RangeExpr) -> Bits:
-        base = expr.base
-        if isinstance(base, ast.Ident) and not self.scope.is_array(base.name):
-            value = self._read_ident(base)
-            msb_decl, lsb_decl = self.scope.range_of(base.name)
+            def bit():
+                i = index()
+                if i.bval:
+                    return x1
+                offset = i.aval - lsb if descending else lsb - i.aval
+                v = value()
+                if not 0 <= offset < width:
+                    return x1
+                return coerce(v.select(offset), ctx, signed)
+            return bit, None
+        # Bit select of a computed value (e.g. {a, b}[i]).
+        value, k = self._build(base)
+
+        def computed_bit():
+            i = index()
+            v = value()
+            if i.bval:
+                return x1
+            return coerce(v.select(i.aval), ctx, signed)
+        return computed_bit, self._fold(ik, k)
+
+    def _range(self, e: ast.RangeExpr):
+        _, _, ctx, signed = e.ann
+        base = e.base
+        if isinstance(base, ast.Ident) and not self._is_array(base):
+            msb_decl, lsb_decl = self._range_of(base.name)
         else:
-            value = self.eval_self(base)
-            msb_decl, lsb_decl = value.width - 1, 0
+            msb_decl, lsb_decl = base.ann[0] - 1, 0
+        value, k = self._build(base)
         descending = msb_decl >= lsb_decl
 
         def offset_of(idx: int) -> int:
             return idx - lsb_decl if descending else lsb_decl - idx
 
-        if expr.mode == ":":
-            msb = const_int(expr.left, self.scope, "part-select msb")
-            lsb = const_int(expr.right, self.scope, "part-select lsb")
-            hi, lo = offset_of(msb), offset_of(lsb)
-        else:
-            start = self.eval_self(expr.left)
-            width = const_int(expr.right, self.scope, "part-select width")
-            if start.has_xz:
-                return Bits.xes(width)
-            s = start.to_uint()
-            if expr.mode == "+:":
-                hi, lo = offset_of(s) + width - 1, offset_of(s)
-                if not descending:
-                    hi, lo = offset_of(s), offset_of(s) - width + 1
-            else:  # "-:"
-                hi, lo = offset_of(s), offset_of(s) - width + 1
-                if not descending:
-                    hi, lo = offset_of(s) + width - 1, offset_of(s)
-        if hi < lo:
-            hi, lo = lo, hi
-        return value.part(hi, lo)
+        if e.mode == ":":
+            hi = offset_of(const_int(e.left, "part-select msb"))
+            lo = offset_of(const_int(e.right, "part-select lsb"))
+            if hi < lo:
+                hi, lo = lo, hi
 
-    def _eval_unary(self, expr: ast.Unary, ctx: int, signed: bool) -> Bits:
-        op = expr.op
+            def fixed():
+                return coerce(value().part(hi, lo), ctx, signed)
+            return fixed, self._fold(k)
+        width = const_int(e.right, "part-select width")
+        start, sk = self._build(e.left)
+        xw = _xes(width)
+        up = (e.mode == "+:") == descending
+
+        def indexed():
+            v = value()
+            s = start()
+            if s.bval:
+                return coerce(xw, ctx, signed)
+            o = offset_of(s.aval)
+            hi, lo = (o + width - 1, o) if up else (o, o - width + 1)
+            if hi < lo:
+                hi, lo = lo, hi
+            return coerce(v.part(hi, lo), ctx, signed)
+        return indexed, self._fold(k, sk)
+
+    def _unary(self, e: ast.Unary):
+        _, _, ctx, signed = e.ann
+        op = e.op
+        operand, k = self._build(e.operand)
         if op == "!":
-            return self._coerce(self.eval_self(expr.operand).log_not(),
-                                ctx, False)
-        if op in _REDUCTION_OPS:
-            v = self.eval_self(expr.operand)
-            result = {
-                "&": v.reduce_and, "~&": v.reduce_nand,
-                "|": v.reduce_or, "~|": v.reduce_nor,
-                "^": v.reduce_xor, "~^": v.reduce_xnor,
-                "^~": v.reduce_xnor,
-            }[op]()
-            return self._coerce(result, ctx, False)
-        operand = self._eval_ctx(expr.operand, ctx, signed)
-        if op == "~":
-            return operand.not_()
-        if op == "-":
-            return operand.neg()
-        if op == "+":
-            return operand.plus()
-        raise EvalError(f"unknown unary operator {op!r}")
+            def log_not():
+                return coerce(operand().log_not(), ctx, False)
+            return log_not, self._fold(k)
+        reduce = _REDUCE.get(op)
+        if reduce is not None:
+            def reduction():
+                return coerce(reduce(operand()), ctx, False)
+            return reduction, self._fold(k)
+        method = _UNARY.get(op)
+        if method is None:
+            raise EvalError(f"unknown unary operator {op!r}")
 
-    def _eval_binary(self, expr: ast.Binary, ctx: int, signed: bool) -> Bits:
-        op = expr.op
-        if op in _LOGICAL_OPS:
-            lhs = self.eval_self(expr.lhs)
-            rhs = self.eval_self(expr.rhs)
-            out = lhs.log_and(rhs) if op == "&&" else lhs.log_or(rhs)
-            return self._coerce(out, ctx, False)
-        if op in _COMPARE_OPS:
-            lw, ls = natural_size(expr.lhs, self.scope)
-            rw, rs = natural_size(expr.rhs, self.scope)
-            w = max(lw, rw)
-            s = ls and rs
-            lhs = self._eval_ctx(expr.lhs, w, s)
-            rhs = self._eval_ctx(expr.rhs, w, s)
-            out = {
-                "==": lhs.eq, "!=": lhs.neq,
-                "===": lhs.case_eq, "!==": lhs.case_neq,
-                "<": lhs.lt, "<=": lhs.le, ">": lhs.gt, ">=": lhs.ge,
-            }[op](rhs)
-            return self._coerce(out, ctx, False)
-        if op in _SHIFT_OPS:
-            lhs = self._eval_ctx(expr.lhs, ctx, signed)
-            rhs = self.eval_self(expr.rhs)
-            if op == "<<" or op == "<<<":
-                return lhs.shl(rhs)
-            if op == ">>":
-                return lhs.shr(rhs)
-            return lhs.ashr(rhs)
+        def unary():
+            return method(operand())
+        return unary, self._fold(k)
+
+    def _binary(self, e: ast.Binary):
+        _, _, ctx, signed = e.ann
+        op = e.op
+        lhs, lk = self._build(e.lhs)
+        rhs, rk = self._build(e.rhs)
+        fold = self._fold(lk, rk)
+        method = _BINARY.get(op)
+        if method is None:
+            raise EvalError(f"unknown binary operator {op!r}")
+        if op in _ONE_BIT:
+            # Logical and relational operators: a 1-bit unsigned result
+            # widened to the context.
+            if ctx == 1:
+                def one_bit():
+                    return method(lhs(), rhs())
+            else:
+                def one_bit():
+                    return coerce(method(lhs(), rhs()), ctx, False)
+            return one_bit, fold
         if op == "**":
-            lhs = self._eval_ctx(expr.lhs, ctx, signed)
-            rhs = self.eval_self(expr.rhs)
-            return lhs.pow(rhs.extend(ctx) if rhs.width < ctx
-                           else rhs.resize(ctx))
-        lhs = self._eval_ctx(expr.lhs, ctx, signed)
-        rhs = self._eval_ctx(expr.rhs, ctx, signed)
-        if op in _ARITH_OPS:
-            return {
-                "+": lhs.add, "-": lhs.sub, "*": lhs.mul,
-                "/": lhs.div, "%": lhs.mod,
-            }[op](rhs)
-        if op in _BITWISE_OPS:
-            return {
-                "&": lhs.and_, "|": lhs.or_, "^": lhs.xor_,
-                "^~": lhs.xnor_, "~^": lhs.xnor_,
-            }[op](rhs)
-        raise EvalError(f"unknown binary operator {op!r}")
+            rw = e.rhs.ann[2]
+            if rw < ctx:
+                def power():
+                    left = lhs()
+                    return left.pow(rhs().extend(ctx))
+            else:
+                def power():
+                    left = lhs()
+                    return left.pow(rhs().resize(ctx))
+            return power, fold
 
-    def _eval_ternary(self, expr: ast.Ternary, ctx: int,
-                      signed: bool) -> Bits:
-        cond = self.eval_self(expr.cond)
-        if not cond.has_xz:
-            branch = expr.then if bool(cond) else expr.els
-            return self._eval_ctx(branch, ctx, signed)
-        # Ambiguous condition: bitwise merge of both branches (§5.1.13).
-        then = self._eval_ctx(expr.then, ctx, signed)
-        els = self._eval_ctx(expr.els, ctx, signed)
-        agree = ~(then.aval ^ els.aval) & ~(then.bval | els.bval)
+        def binary():
+            return method(lhs(), rhs())
+        return binary, fold
+
+    def _ternary(self, e: ast.Ternary):
+        ctx = e.ann[2]
+        cond, ck = self._build(e.cond)
+        then, tk = self._build(e.then)
+        els, ek = self._build(e.els)
         mask = (1 << ctx) - 1
-        differ = ~agree & mask
-        return Bits(ctx, (then.aval & agree) | differ,
-                    (then.bval & agree) | differ)
 
-    def _eval_call(self, expr: ast.Call, ctx: int, signed: bool) -> Bits:
-        name = expr.name
-        if name == "$signed":
-            v = self.eval_self(expr.args[0]).as_signed()
-            return self._coerce(v, ctx, True)
-        if name == "$unsigned":
-            v = self.eval_self(expr.args[0]).as_unsigned()
-            return self._coerce(v, ctx, False)
+        def ternary():
+            c = cond()
+            if not c.bval:
+                return then() if c.aval else els()
+            # Ambiguous condition: bitwise merge of both branches.
+            t = then()
+            f = els()
+            agree = ~(t.aval ^ f.aval) & ~(t.bval | f.bval)
+            differ = ~agree & mask
+            return Bits(ctx, (t.aval & agree) | differ,
+                        (t.bval & agree) | differ)
+        return ternary, self._fold(ck, tk, ek)
+
+    def _concat(self, e: ast.Concat):
+        _, _, ctx, signed = e.ann
+        parts = [self._build(p) for p in e.parts]
+        fns = [fn for fn, _ in parts]
+        concat = Bits.concat
+
+        def cat():
+            return coerce(concat([fn() for fn in fns]), ctx, False)
+        return cat, self._fold(*(k for _, k in parts))
+
+    def _repeat(self, e: ast.Repeat):
+        ctx = e.ann[2]
+        count = const_int(e.count, "replication count")
+        inner, k = self._build(e.inner)
+
+        def repeat():
+            return coerce(inner().replicate(count), ctx, False)
+        return repeat, self._fold(k)
+
+    def _call(self, e: ast.Call):
+        _, _, ctx, signed = e.ann
+        name = e.name
+        if name in ("$signed", "$unsigned"):
+            arg, k = self._build(e.args[0])
+            to_signed = name == "$signed"
+
+            def cast():
+                v = arg()
+                return coerce(Bits(v.width, v.aval, v.bval, to_signed),
+                              ctx, to_signed)
+            return cast, self._fold(k)
         if name == "$clog2":
-            v = self.eval_self(expr.args[0])
-            if v.has_xz:
-                return Bits.xes(32).resize(ctx) if ctx else Bits.xes(32)
-            n = v.to_uint()
-            result = (n - 1).bit_length() if n > 1 else 0
-            return self._coerce(Bits.from_int(result, 32, True), ctx, signed)
+            arg, k = self._build(e.args[0])
+
+            def clog2():
+                v = arg()
+                if v.bval:
+                    return _xes(32).resize(ctx)
+                n = v.aval
+                result = (n - 1).bit_length() if n > 1 else 0
+                return coerce(Bits.from_int(result, 32, True), ctx, signed)
+            return clog2, self._fold(k)
         if name == "$bits":
-            w, _ = natural_size(expr.args[0], self.scope)
-            return self._coerce(Bits.from_int(w, 32), ctx, signed)
+            out = coerce(Bits.from_int(e.args[0].ann[0], 32), ctx, signed)
+            return _const(out), out
         if name.startswith("$"):
-            out = self.scope.sys_func(name, expr.args, self)
-            return self._coerce(out, ctx, signed)
-        widths = self.scope.function_port_widths(name)
-        if len(widths) != len(expr.args):
-            raise EvalError(
-                f"function {name!r} expects {len(widths)} arguments, "
-                f"got {len(expr.args)}")
-        args = [self._eval_ctx(a, w, s)
-                for a, (w, s) in zip(expr.args, widths)]
-        return self._coerce(self.scope.call_function(name, args), ctx,
-                            signed)
+            sys_fn = self.sys_func(name, e.args)
+
+            def system():
+                return coerce(sys_fn(), ctx, signed)
+            return system, None
+        call = self.call_function(name)
+        ports = self.functions[name].ports
+        if len(ports) != len(e.args):
+            def arity():
+                raise EvalError(
+                    f"function {name!r} expects {len(ports)} arguments, "
+                    f"got {len(e.args)}")
+            return arity, None
+        args = [self.build(a) for a in e.args]
+
+        def user_call():
+            return coerce(call([fn() for fn in args]), ctx, signed)
+        return user_call, None
+
+
+_REDUCE = {
+    "&": Bits.reduce_and, "~&": Bits.reduce_nand,
+    "|": Bits.reduce_or, "~|": Bits.reduce_nor,
+    "^": Bits.reduce_xor, "~^": Bits.reduce_xnor, "^~": Bits.reduce_xnor,
+}
+_UNARY = {"~": Bits.not_, "-": Bits.neg, "+": Bits.plus}
+_BINARY = {
+    "+": Bits.add, "-": Bits.sub, "*": Bits.mul, "/": Bits.div,
+    "%": Bits.mod, "**": Bits.pow,
+    "&": Bits.and_, "|": Bits.or_, "^": Bits.xor_,
+    "^~": Bits.xnor_, "~^": Bits.xnor_,
+    "<<": Bits.shl, "<<<": Bits.shl, ">>": Bits.shr, ">>>": Bits.ashr,
+    "==": Bits.eq, "!=": Bits.neq, "===": Bits.case_eq,
+    "!==": Bits.case_neq, "<": Bits.lt, "<=": Bits.le, ">": Bits.gt,
+    ">=": Bits.ge, "&&": Bits.log_and, "||": Bits.log_or,
+}
+_ONE_BIT = frozenset(["==", "!=", "===", "!==", "<", "<=", ">", ">=",
+                      "&&", "||"])
+_DISPATCH = {
+    ast.Number: ExprBuilder._number,
+    ast.StringLit: ExprBuilder._string,
+    ast.Ident: ExprBuilder._ident,
+    ast.IndexExpr: ExprBuilder._index,
+    ast.RangeExpr: ExprBuilder._range,
+    ast.Unary: ExprBuilder._unary,
+    ast.Binary: ExprBuilder._binary,
+    ast.Ternary: ExprBuilder._ternary,
+    ast.Concat: ExprBuilder._concat,
+    ast.Repeat: ExprBuilder._repeat,
+    ast.Call: ExprBuilder._call,
+}
+
+_CONSTANTS = ExprBuilder()
 
 
 # ----------------------------------------------------------------------
 # Constant evaluation
 # ----------------------------------------------------------------------
-class ConstScope:
-    """A scope over a fixed table of named constants (parameters)."""
-
-    def __init__(self, values: Optional[dict] = None):
-        self.values = dict(values or {})
-
-    def width_sign(self, name: str) -> Tuple[int, bool]:
-        v = self.values[name]
-        return v.width, v.signed
-
-    def is_array(self, name: str) -> bool:
-        return False
-
-    def element_width_sign(self, name: str) -> Tuple[int, bool]:
-        raise KeyError(name)
-
-    def read(self, name: str) -> Bits:
-        return self.values[name]
-
-    def read_word(self, name: str, index: int) -> Bits:
-        raise KeyError(name)
-
-    def range_of(self, name: str) -> Tuple[int, int]:
-        v = self.values[name]
-        return v.width - 1, 0
-
-    def function_width_sign(self, name: str) -> Tuple[int, bool]:
-        raise KeyError(name)
-
-    def call_function(self, name: str, args: List[Bits]) -> Bits:
-        raise EvalError(f"function call {name!r} in constant expression")
-
-    def function_port_widths(self, name: str) -> List[Tuple[int, bool]]:
-        raise KeyError(name)
-
-    def sys_func(self, name: str, args, evaluator) -> Bits:
-        raise EvalError(f"system function {name!r} in constant expression")
+def const_eval(expr: ast.Expr) -> Bits:
+    """Evaluate a constant expression (parameters already substituted),
+    self-determined.  Annotates ``expr``, which must be an
+    elaboration-owned copy, never a shared parse-time tree."""
+    if isinstance(expr, ast.Number):
+        return expr.value
+    if expr.ann is None:
+        annotate_expr(expr)
+    return _CONSTANTS.build(expr)()
 
 
-def const_eval(expr: ast.Expr, scope: Optional[Scope] = None) -> Bits:
-    """Evaluate a constant expression (parameters only)."""
-    return ExprEvaluator(scope or ConstScope()).eval_self(expr)
-
-
-def const_int(expr: ast.Expr, scope, what: str = "constant") -> int:
+def const_int(expr: ast.Expr, what: str = "constant") -> int:
     """Evaluate a constant expression to a plain int."""
-    value = ExprEvaluator(scope).eval_self(expr)
-    if value.has_xz:
+    value = const_eval(expr)
+    if value.bval:
         raise EvalError(f"{what} has x/z bits")
-    return value.to_int() if value.signed else value.to_uint()
+    return value.to_int() if value.signed else value.aval

@@ -72,12 +72,11 @@ class TestRuntimeErrorIsolation:
                        "assign led.val = n;")
         rt.run(iterations=8)
         before = rt.board.leds.value
-        rt.eval_source("assign led2_val_x = undeclared_name;")
+        items = list(rt.root_items)
         with pytest.raises(CascadeError):
-            rt.run(iterations=1)  # the bad item fails at rebuild
-        # The REPL pops the failed item and the program keeps running.
-        rt.root_items.pop()
-        rt._invalidate()
+            # The bad item fails at eval and is never admitted.
+            rt.eval_source("assign led2_val_x = undeclared_name;")
+        assert rt.root_items == items
         rt.run(iterations=8)
         assert rt.board.leds.value != before
 

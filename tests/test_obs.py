@@ -24,8 +24,10 @@ from repro.backend.cache import BitstreamCache, CacheEntry, \
 from repro.backend.compilequeue import CompileQueue
 from repro.backend.compiler import CompileService
 from repro.backend.estimate import estimate_resources
+from repro.backend.flow import run_flow
 from repro.core.repl import Repl
 from repro.core.runtime import Runtime
+from repro.ir.build import Subprogram
 from repro.obs import (REQUIRED_EVENT_KINDS, Counter, Gauge, Histogram,
                        MetricsRegistry, Tracer, merge_registries,
                        tracer, validate_jsonl)
@@ -473,3 +475,66 @@ class TestFastPathFailureReason:
                  e.args["message"]) for e in events] == [
             ("main", "compile", "RuntimeError", "codegen exploded")]
         assert f"(last: {reason})" in repl.command(":stats")
+
+
+ALU8 = """
+module alu8(input wire clk, input wire [7:0] a, input wire [7:0] b,
+            input wire op, output wire [7:0] out);
+  reg [7:0] r = 0;
+  always @(posedge clk)
+    if (op) r <= a & b;
+    else r <= a ^ b;
+  assign out = r;
+endmodule
+"""
+
+
+class _FailingFirstPool:
+    """A flow lane whose first future raises, as a killed worker's does;
+    later candidates run inline."""
+
+    def __init__(self):
+        self.submitted = 0
+
+    def submit(self, fn, *args, **kwargs):
+        self.submitted += 1
+        future = Future()
+        if self.submitted == 1:
+            future.set_exception(RuntimeError("worker died"))
+        else:
+            future.set_result(fn(*args, **kwargs))
+        return future
+
+    def cancel(self, future):
+        return False
+
+    def stats(self):
+        return {}
+
+
+class TestCandidateRetries:
+    def test_failed_future_is_counted_and_explained(self, clean_tracer):
+        sub = Subprogram("t", parse_module(ALU8), False, "alu8", {})
+        service = CompileService(full_flow_max_luts=10_000,
+                                 queue=CompileQueue(max_workers=0),
+                                 flow_queue=_FailingFirstPool(),
+                                 place_starts=2)
+        clean_tracer.enable()
+        job = service.submit(sub, now_s=0.0)
+        assert job.error is None             # the compile still succeeds
+        clean_tracer.disable()
+        assert service.metrics.value("compile.flow_candidate_retries") == 1
+        assert service.stats()["flow_candidate_retries"] == 1
+        events = [e for e in clean_tracer.events()
+                  if e.name == "flow_candidate_retry"]
+        assert [e.args["error"] for e in events] == \
+            ["RuntimeError: worker died"]
+
+    def test_report_records_each_retry(self):
+        design = elaborate_leaf(parse_module(ALU8))
+        report = run_flow(design, starts=2, pool=_FailingFirstPool())
+        assert report.candidate_retries == [
+            "seed 1: RuntimeError: worker died"]
+        baseline = run_flow(design, starts=2, pool=None)
+        assert report.placement.locations == baseline.placement.locations
+        assert baseline.candidate_retries == []

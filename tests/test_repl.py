@@ -233,3 +233,31 @@ endmodule""")
         assert stats["always_blocks"] == 2
         assert stats["nonblocking_assigns"] == 1
         assert stats["display_statements"] == 1
+
+
+class TestSemanticErrorsAtEval:
+    """Sizing and name errors surface at eval; nothing is admitted."""
+
+    def _repl(self):
+        rt = Runtime(enable_jit=False)
+        repl = Repl(rt)
+        assert repl.feed("wire [7:0] y; reg [7:0] a = 5; reg [2:0] i = 1;"
+                         " reg [3:0] n = 0;"
+                         " always @(posedge clk.val) n <= n + 1;") == []
+        return rt, repl
+
+    @pytest.mark.parametrize("line, name", [
+        ("assign y = ghost + 1;", "ghost"),
+        ("assign y = a[i:0];", "'i'"),
+        ("always @(posedge clk.val) a <= max9(a);", "max9"),
+        ('$display("%d", ghost);', "ghost"),
+    ])
+    def test_error_names_culprit_and_admits_nothing(self, line, name):
+        rt, repl = self._repl()
+        items = list(rt.root_items)
+        errors = repl.feed(line)
+        assert len(errors) == 1 and name in errors[0], errors
+        assert rt.root_items == items
+        ticks = rt.virtual_clock_ticks
+        repl.command(":run 8")
+        assert rt.virtual_clock_ticks > ticks   # still running

@@ -421,6 +421,45 @@ class TestServerSessions:
         finally:
             sock.close()
 
+    def test_raise_inside_a_turn_closes_only_that_session(
+            self, server_factory):
+        """Fault injection: one tenant's turn raises.  That session gets
+        an explained error and an internal-error goodbye; the server and
+        a second tenant carry on, and the fault is counted once."""
+        server = server_factory()
+        sock = socket.create_connection(server.address, timeout=10)
+        try:
+            assert recv_frame(sock)["type"] == "welcome"
+            (victim,) = server.live_sessions()
+
+            def explode(text):
+                raise RuntimeError("turn exploded")
+            victim.repl.feed = explode
+            with connect(server.address) as healthy:
+                assert healthy.eval(TENANT_SRC, timeout=30) == []
+                send_frame(sock, {"type": "eval", "id": 1,
+                                  "src": TENANT_SRC})
+                frames = []
+                while True:
+                    frame = recv_frame(sock)
+                    if frame is None:
+                        break
+                    frames.append(frame)
+                    if frame["type"] == "goodbye":
+                        break
+                (error,) = [f for f in frames if f["type"] == "error"]
+                assert error["error_type"] == "RuntimeError"
+                assert "turn exploded" in error["message"]
+                assert frames[-1]["reason"] == "internal-error"
+                assert healthy.command(":run 20", timeout=30) == \
+                    "ran 20 iterations"
+                line = healthy.command(":time", timeout=30)
+                assert "virtual time" in line
+                stats = healthy.server_stats(timeout=30)
+                assert stats["metrics"]["server.internal_errors"] == 1
+        finally:
+            sock.close()
+
     def test_stats_expose_backpressure_counters(self, server_factory):
         server = server_factory()
         with connect(server.address) as session:
