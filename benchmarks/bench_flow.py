@@ -5,10 +5,10 @@ Three measurements on the largest study-corpus design (projected into
 the gate-level subset by :func:`repro.study.corpus.flow_variant`):
 
 * ``cold``   — one full place/route/timing pass.  Baseline arm: the
-  pre-rewrite annealer (``kernel="reference"``), single start, on a
-  thread lane — exactly what every compile used to pay.  New arm: the
-  incremental array kernel, ``default_place_starts()`` seeds fanned
-  across the process lane.
+  pre-rewrite annealer (the test oracle in ``tests/oracle_place.py``),
+  single start, on a thread lane — exactly what every compile used to
+  pay.  New arm: the incremental array kernel,
+  ``default_place_starts()`` seeds fanned across the process lane.
 * ``warm``   — the same design again with a primed placement cache
   (single-start quench at reduced effort).
 * ``interference`` — foreground simulation throughput (an interpreted
@@ -21,6 +21,9 @@ the gate-level subset by :func:`repro.study.corpus.flow_variant`):
 Emits ``BENCH_flow.json`` (or ``CASCADE_BENCH_JSON``).  The asserted
 contract: the new arm beats the baseline by >= 2x wall-clock and both
 arms produce bit-identical placements for the same seed.
+
+Run with the oracle importable:
+``PYTHONPATH=src:tests python -m pytest benchmarks/bench_flow.py -q -s``.
 """
 
 import json
@@ -34,12 +37,16 @@ from repro.backend.cache import PlacementCache
 from repro.backend.compilequeue import CompileQueue, default_place_starts
 from repro.backend.compiler import CompileService
 from repro.backend.fabric import device_for
-from repro.backend.flow import _pr_candidate, run_flow
+from repro.backend.flow import FlowReport, _pr_candidate, run_flow
+from repro.backend.route import route
 from repro.backend.synth import synthesize
+from repro.backend.timing import analyze_timing
 from repro.core.runtime import Runtime
 from repro.study.corpus import flow_variant, generate_corpus
 from repro.verilog.elaborate import elaborate_leaf
 from repro.verilog.parser import parse_module
+
+from oracle_place import place_reference
 
 pytestmark = pytest.mark.benchmark(group="flow")
 
@@ -64,6 +71,18 @@ def _largest_design():
     return solution, design, netlist, device_for(max(cells, 16))
 
 
+def _baseline_flow(design, device) -> FlowReport:
+    """The pre-rewrite flow: synth, the reference annealer, route and
+    timing, single start from seed 1."""
+    t0 = time.perf_counter()
+    netlist = synthesize(design)
+    placement = place_reference(netlist, device, seed=1, effort=EFFORT)
+    routing = route(netlist, placement, device)
+    timing = analyze_timing(netlist, placement, device)
+    return FlowReport(design, netlist, placement, routing, timing,
+                      device, time.perf_counter() - t0)
+
+
 def _measure_flow(design, device):
     starts = default_place_starts()
     thread_lane = CompileQueue(max_workers=1, kind="thread",
@@ -71,9 +90,8 @@ def _measure_flow(design, device):
     process_lane = CompileQueue(kind="process", name="bench-flow")
     try:
         t0 = time.perf_counter()
-        baseline = run_flow(design, device=device, effort=EFFORT,
-                            starts=1, pool=thread_lane,
-                            kernel="reference")
+        baseline = thread_lane.submit(_baseline_flow, design,
+                                      device).result()
         baseline_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -143,7 +161,7 @@ def _measure_interference(netlist, device, window_s: float = 0.5):
         try:
             # Enough annealing to outlast the window on any host.
             future = lane.submit(_pr_candidate, np_, dp, 1, EFFORT,
-                                 None, "fast")
+                                 None)
             hz = _foreground_hz(runtime, window_s)
             finished_early = future.done()
             future.result()
@@ -179,9 +197,9 @@ def test_flow_speedup(flow_results, benchmark):
     print(f"\nflow lane on {results['design']} "
           f"({results['cells']} cells, effort {results['effort']}, "
           f"JSON -> {path})")
-    print(f"  baseline (reference kernel, 1 start, thread): "
+    print(f"  baseline (reference oracle, 1 start, thread): "
           f"{results['baseline_single_start_thread_s']:.2f}s")
-    print(f"  new (fast kernel, {results['place_starts']} starts, "
+    print(f"  new (array kernel, {results['place_starts']} starts, "
           f"process): {results['cold_multi_start_process_s']:.2f}s "
           f"-> {results['flow_speedup']:.1f}x")
     print(f"  warm start: {results['warm_process_s']:.2f}s "

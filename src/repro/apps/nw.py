@@ -20,7 +20,7 @@ DNA sequences are 2-bit encoded (A=0, C=1, G=2, T=3).
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+from typing import Tuple
 
 __all__ = ["encode_dna", "random_dna", "nw_score",
            "nw_score_antidiagonal", "nw_verilog", "nw_program"]

@@ -14,7 +14,7 @@ negation), grouping, alternation ``|``, and the ``* + ?`` repetitions.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 __all__ = ["RegexError", "compile_dfa", "Dfa", "matcher_verilog",
            "regex_program", "reference_match_count"]

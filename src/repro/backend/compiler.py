@@ -276,52 +276,20 @@ class CompileService:
         self._c_flow_retries = m.counter("compile.flow_candidate_retries")
         self._c_cross_tenant = m.counter("compile.cross_tenant_hits")
         self._c_joins = m.counter("compile.single_flight_joins")
-        # Per-phase host seconds: totals as counters (the historical
-        # ``host_seconds`` dict), distributions as p50/p99 histograms.
+        # Per-phase host seconds (the ``host_seconds`` dict of stats()).
         for phase in ("submit_s", "codegen_s", "flow_s", "wait_s"):
             m.counter("compile.host." + phase)
         self._session_keys: Set[str] = set()
-        self._lock = threading.Lock()
         self._last_flow_done: Optional[threading.Event] = None
-
-    # Historical counter attributes, now views over the registry.
-    @property
-    def compiles_attempted(self) -> int:
-        return self._c_attempted.value
-
-    @property
-    def compiles_failed(self) -> int:
-        return self._c_failed.value
-
-    @property
-    def compiles_cancelled(self) -> int:
-        return self._c_cancelled.value
-
-    @property
-    def cache_hits(self) -> int:
-        return self._c_cache_hits.value
-
-    @property
-    def cache_misses(self) -> int:
-        return self._c_cache_misses.value
 
     @property
     def warm_starts(self) -> int:
+        # Kept for perfbench/compile_flow.py, which reads it.
         return self._c_warm_starts.value
-
-    @property
-    def cross_tenant_hits(self) -> int:
-        return self._c_cross_tenant.value
-
-    @property
-    def single_flight_joins(self) -> int:
-        return self._c_joins.value
 
     # ------------------------------------------------------------------
     def _charge_host(self, phase: str, seconds: float) -> None:
         self.metrics.counter("compile.host." + phase).inc(seconds)
-        self.metrics.histogram(
-            "compile.host." + phase + ".dist").observe(seconds)
 
     def _trace_phase(self, job: "CompileJob", phase: str,
                      seconds: float) -> None:
@@ -335,8 +303,6 @@ class CompileService:
                     tid="compile",
                     args={"phase": phase,
                           "subprogram": job.subprogram.name})
-        self.metrics.histogram("compile.phase." + phase) \
-            .observe(seconds)
 
     def estimate(self, design: Design,
                  instrumented: bool = True) -> Dict[str, int]:
@@ -614,14 +580,14 @@ class CompileService:
                 for phase in ("submit_s", "codegen_s", "flow_s",
                               "wait_s")}
         return {
-            "attempted": self.compiles_attempted,
-            "failed": self.compiles_failed,
-            "cancelled": self.compiles_cancelled,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "warm_starts": self.warm_starts,
-            "cross_tenant_hits": self.cross_tenant_hits,
-            "single_flight_joins": self.single_flight_joins,
+            "attempted": self._c_attempted.value,
+            "failed": self._c_failed.value,
+            "cancelled": self._c_cancelled.value,
+            "cache_hits": self._c_cache_hits.value,
+            "cache_misses": self._c_cache_misses.value,
+            "warm_starts": self._c_warm_starts.value,
+            "cross_tenant_hits": self._c_cross_tenant.value,
+            "single_flight_joins": self._c_joins.value,
             "estimate_fallbacks":
                 int(self.metrics.value("estimate.fallbacks")),
             "flow_candidate_retries": int(self._c_flow_retries.value),

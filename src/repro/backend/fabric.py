@@ -10,7 +10,6 @@ adjacent grid cells.
 from __future__ import annotations
 
 import math
-from typing import Dict, Tuple
 
 __all__ = ["Device", "CYCLONE_V", "SMALL_DEVICE", "device_for"]
 
@@ -49,10 +48,6 @@ class Device:
     @property
     def logic_elements(self) -> int:
         return self.width * self.height
-
-    @property
-    def clock_period_ns(self) -> float:
-        return 1_000.0 / self.clock_mhz
 
     def __repr__(self) -> str:
         return (f"Device({self.name}, {self.width}x{self.height}, "

@@ -85,7 +85,7 @@ class FlowReport:
 
 
 def _pr_candidate(netlist_payload: tuple, device_payload: tuple,
-                  seed: int, effort: float, initial, kernel: str
+                  seed: int, effort: float, initial
                   ) -> Tuple[Placement, RoutingResult, TimingReport,
                              Dict[str, float]]:
     """One complete place/route/timing candidate.
@@ -102,7 +102,7 @@ def _pr_candidate(netlist_payload: tuple, device_payload: tuple,
     device = Device.from_payload(device_payload)
     t0 = time.perf_counter()
     placement = place(netlist, device, seed=seed, effort=effort,
-                      initial=initial, kernel=kernel)
+                      initial=initial)
     t1 = time.perf_counter()
     routing = route(netlist, placement, device)
     t2 = time.perf_counter()
@@ -117,8 +117,7 @@ def run_flow(design: Design, device: Optional[Device] = None,
              seed: int = 1, effort: float = 1.0,
              placement_cache=None,
              warm_effort: float = 0.35,
-             starts: int = 1, pool=None,
-             kernel: str = "fast") -> FlowReport:
+             starts: int = 1, pool=None) -> FlowReport:
     """Run the complete flow on a design.
 
     Raises SynthesisError for constructs outside the gate-level subset;
@@ -160,7 +159,7 @@ def run_flow(design: Design, device: Optional[Device] = None,
         plan = [(seed + k, effort, None) for k in range(max(starts, 1))]
 
     retries: List[str] = []
-    outcomes = _run_candidates(netlist, device, plan, pool, kernel, retries)
+    outcomes = _run_candidates(netlist, device, plan, pool, retries)
     placement, routing, timing, winner_phases = min(
         outcomes, key=lambda o: (o[0].cost, o[0].seed))
 
@@ -178,18 +177,16 @@ def run_flow(design: Design, device: Optional[Device] = None,
 
 def _run_candidates(netlist: Netlist, device: Device,
                     plan: List[Tuple[int, float, Optional[dict]]],
-                    pool, kernel: str, retries: List[str]
+                    pool, retries: List[str]
                     ) -> List[Tuple[Placement, RoutingResult,
                                     TimingReport, Dict[str, float]]]:
     """Fan the candidate plan across ``pool`` (or run inline).  Each
     candidate recomputed inline after its pool future failed is recorded
     in ``retries`` and traced as a ``flow_candidate_retry`` event."""
-    if pool is None:
-        np_, dp = netlist.to_payload(), device.to_payload()
-        return [_pr_candidate(np_, dp, s, e, h, kernel)
-                for s, e, h in plan]
     np_, dp = netlist.to_payload(), device.to_payload()
-    futures = [pool.submit(_pr_candidate, np_, dp, s, e, h, kernel)
+    if pool is None:
+        return [_pr_candidate(np_, dp, s, e, h) for s, e, h in plan]
+    futures = [pool.submit(_pr_candidate, np_, dp, s, e, h)
                for s, e, h in plan]
     outcomes = []
     for future, (s, e, h) in zip(futures, plan):
@@ -205,5 +202,5 @@ def _run_candidates(netlist: Netlist, device: Device,
             if tr.enabled:
                 tr.emit("flow_candidate_retry", "compile",
                         args={"seed": s, "error": error})
-            outcomes.append(_pr_candidate(np_, dp, s, e, h, kernel))
+            outcomes.append(_pr_candidate(np_, dp, s, e, h))
     return outcomes

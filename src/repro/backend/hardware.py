@@ -19,8 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..common.bits import Bits
-from ..core.abi import HARDWARE, SOFTWARE, CollectedTasks, Engine, \
-    EngineTask
+from ..core.abi import HARDWARE, SOFTWARE, CollectedTasks, Engine
 from ..interp.fmt import format_display
 from ..ir.build import Subprogram
 from ..verilog.elaborate import Design

@@ -8,7 +8,7 @@ fabric model.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["Net", "Cell", "Netlist", "CONST0", "CONST1"]
 
@@ -94,11 +94,6 @@ class Netlist:
             return self.add_const(1)
         name = self.fresh(hint)
         self.add(Cell(name, LUT, fanin, truth=truth))
-        return name
-
-    def add_ff(self, d: str, hint: str = "ff") -> str:
-        name = self.fresh(hint)
-        self.add(Cell(name, FF, [d]))
         return name
 
     def set_output(self, port: str, net: str) -> None:

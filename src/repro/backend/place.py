@@ -7,19 +7,15 @@ every LUT/FF cell to a logic element on the device grid and every
 INPUT/OUTPUT to a perimeter pad, minimising total half-perimeter
 wirelength under an exponential cooling schedule.
 
-Two kernels implement the same anneal:
-
-* ``kernel="fast"`` (the default) — an array-based kernel: cells are
-  integer indices, coordinates live in flat lists, and every net caches
-  its bounding box, updated incrementally on each move (a from-scratch
-  rescan happens only when a moved cell sat on the box boundary or a
-  swap touched the net twice).  Rejected moves restore the saved boxes
-  instead of recomputing them.
-* ``kernel="reference"`` — the original dict-of-lists implementation
-  that rebuilds coordinate lists per affected net per move.  It is kept
-  as the differential oracle (both kernels draw the same random-number
-  sequence and make bit-identical accept/reject decisions, so their
-  placements must match exactly) and as the benchmark baseline.
+The kernel is array-based: cells are integer indices, coordinates live
+in flat lists, and every net caches its bounding box, updated
+incrementally on each move (a from-scratch rescan happens only when a
+moved cell sat on the box boundary or a swap touched the net twice).
+Rejected moves restore the saved boxes instead of recomputing them.
+The original dict-of-lists annealer is kept as a differential test
+oracle in ``tests/oracle_place.py``: it draws the same random-number
+sequence and makes the same accept/reject decisions, so its placements
+must match this kernel's exactly.
 """
 
 from __future__ import annotations
@@ -67,19 +63,13 @@ def _net_bboxes(netlist: Netlist) -> List[List[str]]:
     return nets
 
 
-def _hpwl(cells: List[str], locations: Dict[str, Coord]) -> int:
-    xs = [locations[c][0] for c in cells]
-    ys = [locations[c][1] for c in cells]
-    return (max(xs) - min(xs)) + (max(ys) - min(ys))
-
-
 def _initial_locations(netlist: Netlist, device: Device, rng: random.Random,
                        initial: Optional[Dict[str, Coord]]
                        ) -> Tuple[Dict[str, Coord], List[str], List[Coord],
                                   bool]:
-    """The shared setup of both kernels: fit checks, the (possibly
-    warm-started) initial placement, perimeter IO pads and the free-site
-    pool.  Consumes RNG state identically for both kernels."""
+    """The setup shared with the reference oracle: fit checks, the
+    (possibly warm-started) initial placement, perimeter IO pads and the
+    free-site pool."""
     placeable = [name for name, cell in netlist.cells.items()
                  if cell.kind in ("LUT", "FF")]
     ios = [name for name, cell in netlist.cells.items()
@@ -149,8 +139,7 @@ def _schedule(cost: float, n: int, effort: float, warm_started: bool
 
 def place(netlist: Netlist, device: Device, seed: int = 1,
           effort: float = 1.0,
-          initial: Optional[Dict[str, Coord]] = None,
-          kernel: str = "fast") -> Placement:
+          initial: Optional[Dict[str, Coord]] = None) -> Placement:
     """Anneal a placement; raises :class:`PlacementError` when the
     design does not fit the device.
 
@@ -160,11 +149,9 @@ def place(netlist: Netlist, device: Device, seed: int = 1,
     optimum.  Callers typically combine it with a reduced ``effort``.
 
     The result is a pure function of ``(netlist, device, seed, effort,
-    initial)``: both kernels, and any host (thread, process, inline),
-    produce bit-identical placements.
+    initial)``: any host (thread, process, inline) produces a
+    bit-identical placement.
     """
-    if kernel == "reference":
-        return _place_reference(netlist, device, seed, effort, initial)
     rng = random.Random(seed)
     locations, placeable, free_sites, warm_started = \
         _initial_locations(netlist, device, rng, initial)
@@ -301,81 +288,6 @@ def place(netlist: Netlist, device: Device, seed: int = 1,
 
     out = {name: (loc_x[i], loc_y[i]) for i, name in enumerate(names)}
     return Placement(out, cost, tried, accepted, warm_started, seed=seed)
-
-
-def _place_reference(netlist: Netlist, device: Device, seed: int = 1,
-                     effort: float = 1.0,
-                     initial: Optional[Dict[str, Coord]] = None
-                     ) -> Placement:
-    """The original list-rebuilding kernel (differential oracle and
-    benchmark baseline — see the module docstring)."""
-    rng = random.Random(seed)
-    locations, placeable, free_sites, warm_started = \
-        _initial_locations(netlist, device, rng, initial)
-
-    nets = _net_bboxes(netlist)
-    nets = [[c for c in net if c in locations] for net in nets]
-    nets = [net for net in nets if len(net) > 1]
-    cell_nets: Dict[str, List[int]] = {}
-    for i, net in enumerate(nets):
-        for c in net:
-            cell_nets.setdefault(c, []).append(i)
-    net_costs = [_hpwl(net, locations) for net in nets]
-    cost = float(sum(net_costs))
-
-    n = max(len(placeable), 1)
-    moves_total, temperature, cooling, moves_per_temp = \
-        _schedule(cost, n, effort, warm_started)
-    tried = accepted = 0
-
-    def delta_for(cells_moved: List[str]) -> float:
-        affected = set()
-        for c in cells_moved:
-            affected.update(cell_nets.get(c, ()))
-        old = sum(net_costs[i] for i in affected)
-        new = sum(_hpwl(nets[i], locations) for i in affected)
-        for i in affected:
-            net_costs[i] = _hpwl(nets[i], locations)
-        return new - old
-
-    def undo(saved: List[Tuple[str, Coord]]) -> None:
-        for c, loc in saved:
-            locations[c] = loc
-
-    while tried < moves_total and temperature > 0.005:
-        for _ in range(min(moves_per_temp, moves_total - tried)):
-            tried += 1
-            a = rng.choice(placeable)
-            free_swap = None  # (index, previous free site)
-            if free_sites and rng.random() < 0.3:
-                idx = rng.randrange(len(free_sites))
-                site = free_sites[idx]
-                saved = [(a, locations[a])]
-                free_swap = (idx, site)
-                free_sites[idx] = locations[a]
-                locations[a] = site
-                swapped = None
-            else:
-                b = rng.choice(placeable)
-                if a == b:
-                    continue
-                saved = [(a, locations[a]), (b, locations[b])]
-                locations[a], locations[b] = locations[b], locations[a]
-                swapped = b
-            moved = [a] + ([swapped] if swapped else [])
-            delta = delta_for(moved)
-            if delta <= 0 or rng.random() < math.exp(-delta / temperature):
-                cost += delta
-                accepted += 1
-            else:
-                undo(saved)
-                if free_swap is not None:
-                    free_sites[free_swap[0]] = free_swap[1]
-                delta_for(moved)  # restore cached net costs
-        temperature *= cooling
-
-    return Placement(locations, cost, tried, accepted, warm_started,
-                     seed=seed)
 
 
 def _perimeter(device: Device) -> List[Coord]:

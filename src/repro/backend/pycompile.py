@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..common.errors import SynthesisError
 from ..verilog import ast
-from ..verilog.elaborate import Design, Function, Var
+from ..verilog.elaborate import Design, Function
 from ..interp.engine import read_set_of, read_set_of_lvalue_indices
 from ..verilog.visitor import walk
 from . import pyrt

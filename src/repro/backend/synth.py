@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..common.errors import SynthesisError
 from ..verilog import ast
-from ..verilog.elaborate import Design, Function
+from ..verilog.elaborate import Design
 from .netlist import Netlist
 
 __all__ = ["synthesize"]
@@ -547,7 +547,9 @@ class _Synth:
         f_frame, f_nba = self._snapshot(frame, nba)
         if els is not None:
             self._stmt(els, f_frame, f_nba)
-        for name in set(t_frame) | set(f_frame):
+        # Insertion order, not set order: the netlist (cell names,
+        # folded LUTs, routing) must not depend on PYTHONHASHSEED.
+        for name in dict.fromkeys([*t_frame, *f_frame]):
             tv = t_frame.get(name) or self._fallback(name, frame)
             fv = f_frame.get(name) or self._fallback(name, frame)
             if tv is None or fv is None or tv[0] is fv[0]:
@@ -562,7 +564,7 @@ class _Synth:
                       for a, b in zip(tv[0], fv[0])]
             frame[name] = (merged, tv[1])
         if nba is not None:
-            for name in set(t_nba or ()) | set(f_nba or ()):
+            for name in dict.fromkeys([*(t_nba or ()), *(f_nba or ())]):
                 tv = (t_nba or {}).get(name, nba.get(name))
                 fv = (f_nba or {}).get(name, nba.get(name))
                 if tv is None:
@@ -615,7 +617,7 @@ class _Synth:
             if nba is not None:
                 nba.clear()
                 nba.update(saved[1] or {})
-            for name in set(t_frame) | set(f_frame2):
+            for name in dict.fromkeys([*t_frame, *f_frame2]):
                 tv = t_frame.get(name, frame.get(name))
                 fv = f_frame2.get(name, frame.get(name))
                 if tv is None or fv is None or tv[0] is fv[0]:
@@ -625,7 +627,8 @@ class _Synth:
                 frame[name] = ([self.mux(cond, a, b)
                                 for a, b in zip(tv[0], fv[0])], tv[1])
             if nba is not None:
-                for name in set(t_nba or ()) | set(f_nba2 or ()):
+                for name in dict.fromkeys(
+                        [*(t_nba or ()), *(f_nba2 or ())]):
                     tv = (t_nba or {}).get(name) or nba.get(name) \
                         or self.env[name]
                     fv = (f_nba2 or {}).get(name) or nba.get(name) \

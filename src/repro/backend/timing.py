@@ -11,7 +11,7 @@ closure during the later phases of JIT compilation".
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..common.errors import TimingError
 from .fabric import Device

@@ -7,13 +7,13 @@ engines when background compilation finishes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from ..common.bits import Bits
 from ..interp.engine import EngineServices, SoftwareEngine
 from ..ir.build import Subprogram
 from ..verilog.elaborate import Design, elaborate_leaf
-from .abi import SOFTWARE, CollectedTasks, Engine, EngineTask
+from .abi import SOFTWARE, CollectedTasks, Engine
 
 __all__ = ["SoftwareEngineAdapter"]
 

@@ -21,7 +21,6 @@ class Interrupt:
 
     DISPLAY = "display"
     FINISH = "finish"
-    EVAL = "eval"
     ACTION = "action"   # arbitrary runtime callback (engine swap, etc.)
 
     def __init__(self, kind: str, payload=None):
@@ -46,9 +45,6 @@ class InterruptQueue:
 
     def push_finish(self, code: int = 0) -> None:
         self._queue.append(Interrupt(Interrupt.FINISH, code))
-
-    def push_eval(self, payload) -> None:
-        self._queue.append(Interrupt(Interrupt.EVAL, payload))
 
     def push_action(self, action: Callable[[], None]) -> None:
         self._queue.append(Interrupt(Interrupt.ACTION, action))

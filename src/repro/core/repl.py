@@ -180,9 +180,11 @@ class Repl:
                 f"{tiers['sw-fast']} sw-fast, "
                 f"{tiers['hardware']} hardware")
             lines.append(
-                f"migrations: {rt.sw_migrations} sw-fast, "
-                f"{rt.hw_migrations} hardware; "
-                f"fast-path compile failures: {rt.fastpath_failures}"
+                f"migrations: "
+                f"{rt.metrics.value('runtime.sw_migrations')} sw-fast, "
+                f"{rt.metrics.value('runtime.hw_migrations')} hardware; "
+                f"fast-path compile failures: "
+                f"{rt.metrics.value('runtime.fastpath_failures')}"
                 + (f" (last: {rt.last_fastpath_failure})"
                    if rt.last_fastpath_failure else ""))
             # The merged-registry view: every registry in reach,

@@ -29,7 +29,6 @@ from ..backend.hardware import FastSoftwareEngine, HardwareEngine
 from ..backend.pycompile import compile_design
 from ..common.bits import Bits
 from ..common.errors import CascadeError, SynthesisError
-from ..interp.engine import read_set_of
 from ..ir.build import IRProgram, Subprogram, build_ir
 from ..obs import tracer
 from ..perf.timemodel import PerfTrace, TimeModel
@@ -163,18 +162,10 @@ class Runtime:
         self._engines_cache: Optional[Tuple[
             List[Engine], List[Tuple[int, Engine, int]]]] = None
 
-    # Historical counter attributes, now views over the registry.
-    @property
-    def hw_migrations(self) -> int:
-        return self._c_hw_migrations.value
-
     @property
     def sw_migrations(self) -> int:
+        # Kept for perfbench/sim_tiers.py, which reads it.
         return self._c_sw_migrations.value
-
-    @property
-    def fastpath_failures(self) -> int:
-        return self._c_fastpath_failures.value
 
     def _trace_tier_swap(self, name: str, from_tier: str,
                          to_tier: str, **extra) -> None:
@@ -218,9 +209,6 @@ class Runtime:
         end of the root module and executed once."""
         stmt = parse_statement_text(text)
         self._admit([ast.InitialBlock(stmt, stmt.loc)])
-
-    def eval_item(self, item: ast.Item) -> None:
-        self._admit([item])
 
     def _admit(self, items: List[ast.Item]) -> None:
         """Append items to the root module once the program they make

@@ -306,13 +306,6 @@ class SoftwareEngine:
         """Current value of a variable (ABI read)."""
         return self.values[name]
 
-    def peek_word(self, name: str, index: int) -> Bits:
-        var = self.design.vars[name]
-        offset = var.word_index(index)
-        if offset is None:
-            return Bits.xes(var.width)
-        return self.arrays[name][offset]
-
     def poke(self, name: str, value: Bits) -> None:
         """Deliver an input change (ABI write)."""
         var = self.design.vars[name]

@@ -11,7 +11,7 @@ simulator.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..common.bits import Bits
 from ..common.errors import CascadeError

@@ -3,10 +3,10 @@
 Two halves:
 
 * :mod:`repro.obs.metrics` — counters, gauges and p50/p99 histograms
-  in named :class:`MetricsRegistry` instances.  These *are* the
-  pipeline's counters now: ``BitstreamCache``, ``CompileService``,
-  ``Runtime`` and ``CascadeServer`` register their metrics here and
-  expose the historical attribute names as read-only views.
+  in named :class:`MetricsRegistry` instances.  These are the
+  pipeline's only counters: ``BitstreamCache``, ``CompileService``,
+  ``Runtime`` and ``CascadeServer`` register their metrics here, and
+  ``stats()``/``:stats`` read them back from the registry.
 * :mod:`repro.obs.trace` — a process-wide structured event stream
   (eval windows, engine admissions, tier swaps, compile phases, cache
   hits, scheduler slices) carrying both virtual and host timestamps,

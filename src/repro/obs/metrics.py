@@ -1,13 +1,10 @@
 """The metrics half of the observability layer (DESIGN.md §4.7).
 
-Before this module existed every subsystem grew its own ad-hoc
-counters — ``BitstreamCache.hits``, ``CompileService.cache_hits``,
-``Runtime.sw_migrations``, the ``CascadeServer.stats()`` totals — each
-with its own locking discipline and no way to read them uniformly.  A
-:class:`MetricsRegistry` replaces that: components create named
-counters/gauges/histograms in a registry and the old attribute names
-become thin read-only views, so one ``snapshot()`` sees everything and
-``:stats`` renders from a single merged dictionary.
+Every counter the pipeline keeps lives in a :class:`MetricsRegistry`:
+components create named counters/gauges/histograms and read them back
+through the registry (``metrics.value(name)``) or the metric object
+itself, so one ``snapshot()`` sees everything and ``:stats`` renders
+from a single merged dictionary.  Each measurement is recorded once.
 
 Conventions:
 
@@ -15,6 +12,10 @@ Conventions:
   (``cache.hits``, ``compile.cache_hits``, ``runtime.sw_migrations``,
   ``server.sessions_total``) so snapshots from several registries can
   be merged without collisions;
+* ``compile.*`` counts what one compile service (one tenant) saw,
+  ``cache.*`` what one cache saw — server-wide when tenants share it —
+  so ``compile.cache_hits`` and ``cache.hits`` are different scopes,
+  not duplicates;
 * counters accept float increments (host-seconds accumulate through
   the same type as event counts);
 * histograms keep a bounded window of recent observations (plus exact

@@ -32,7 +32,6 @@ like a path, the buffer is dumped there at interpreter exit
 from __future__ import annotations
 
 import atexit
-import io
 import json
 import os
 import threading

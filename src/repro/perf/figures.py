@@ -11,11 +11,10 @@ paper's testbed is not re-run here.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..backend.compiler import CompileService, CompilerModel
 from ..core.runtime import Runtime
-from ..perf.timemodel import TimeModel
 
 __all__ = ["RegimeRates", "measure_pow_timeline", "measure_regex_timeline",
            "piecewise_series"]

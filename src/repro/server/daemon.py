@@ -117,21 +117,7 @@ class CascadeServer:
         self.metrics.counter("server.internal_errors")
         self._closed_totals = {"frames_in": 0, "frames_out": 0,
                                "dropped_outputs": 0,
-                               "cross_tenant_hits": 0,
-                               "single_flight_joins": 0}
-
-    # Historical counter attributes, now views over the registry.
-    @property
-    def sessions_total(self) -> int:
-        return self._c_sessions_total.value
-
-    @property
-    def sessions_rejected(self) -> int:
-        return self._c_sessions_rejected.value
-
-    @property
-    def sessions_evicted(self) -> int:
-        return self._c_sessions_evicted.value
+                               "cross_tenant_hits": 0}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -322,9 +308,7 @@ class CascadeServer:
             self._closed_totals["dropped_outputs"] += \
                 session.dropped_outputs
             self._closed_totals["cross_tenant_hits"] += \
-                session.service.cross_tenant_hits
-            self._closed_totals["single_flight_joins"] += \
-                session.service.single_flight_joins
+                session.service.metrics.value("compile.cross_tenant_hits")
         session.closed.set()
 
     # ------------------------------------------------------------------
@@ -358,9 +342,6 @@ class CascadeServer:
         sessions = self.live_sessions()
         with self._lock:
             totals = dict(self._closed_totals)
-            rejected = self.sessions_rejected
-            evicted = self.sessions_evicted
-            total = self.sessions_total
         per_session = [s.stats() for s in sessions]
         frames_in = totals["frames_in"] + \
             sum(s["frames_in"] for s in per_session)
@@ -370,20 +351,21 @@ class CascadeServer:
             sum(s["dropped_outputs"] for s in per_session)
         cross = totals["cross_tenant_hits"] + \
             sum(s["cross_tenant_hits"] for s in per_session)
-        joins = totals["single_flight_joins"] + \
-            sum(s["single_flight_joins"] for s in per_session)
         return {
             "uptime_s": time.monotonic() - self.started_at,
             "sessions_active": len(sessions),
-            "sessions_total": total,
-            "sessions_rejected": rejected,
-            "sessions_evicted": evicted,
+            "sessions_total": self._c_sessions_total.value,
+            "sessions_rejected": self._c_sessions_rejected.value,
+            "sessions_evicted": self._c_sessions_evicted.value,
             "max_sessions": self.max_sessions,
             "frames_in": frames_in,
             "frames_out": frames_out,
             "dropped_outputs": dropped,
             "cross_tenant_hits": cross,
-            "single_flight_joins": joins,
+            # The shared cache counts every tenant's joins, closed
+            # sessions included.
+            "single_flight_joins":
+                self.metrics.value("cache.single_flight_joins"),
             "bitstream_cache": self.cache.stats(),
             "placement_cache": self.placements.stats(),
             "scheduler": {

@@ -160,10 +160,6 @@ class Ident(Expr):
         self._parts = tuple(parts)
         self.name = ".".join(self._parts)
 
-    @property
-    def is_hierarchical(self) -> bool:
-        return len(self.parts) > 1
-
 
 class IndexExpr(Expr):
     """Bit select or memory word select: ``base[index]``."""

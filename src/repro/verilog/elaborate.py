@@ -27,7 +27,7 @@ import copy
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..common.bits import Bits
-from ..common.errors import ElaborationError, TypeError_
+from ..common.errors import ElaborationError
 from . import ast
 from .eval import const_eval
 from .visitor import map_exprs

@@ -110,7 +110,7 @@ class TestAsyncSubmission:
         service.cancel_all()
         gate.set()
         assert service.jobs == []
-        assert service.compiles_cancelled == 1
+        assert service.metrics.value("compile.cancelled") == 1
         assert service.completed(1e9) == []
         assert job.compiled is None
         assert "cancelled" in job.error
@@ -131,7 +131,8 @@ assign led.val = n;
                          enable_open_loop=False)
             rt.eval_source(source)
             rt.run(iterations=3000)
-            return (rt.time_model.now_ns, rt.hw_migrations,
+            return (rt.time_model.now_ns,
+                    rt.metrics.value("runtime.hw_migrations"),
                     rt.board.leds.value)
 
         assert run_once() == run_once()
@@ -143,8 +144,8 @@ class TestBitstreamCache:
         job1 = service.submit(sub_of(COUNTER), now_s=0.0)
         assert job1.compiled is not None
         job2 = service.submit(sub_of(COUNTER), now_s=100.0)
-        assert service.cache_hits == 1
-        assert service.cache_misses == 1
+        assert service.metrics.value("compile.cache_hits") == 1
+        assert service.metrics.value("compile.cache_misses") == 1
         assert job2.cache_hit
         assert job2.compiled is job1.compiled
         # Cache hits cost only the constant reprogramming latency.
@@ -155,12 +156,13 @@ class TestBitstreamCache:
         service = CompileService()
         j_inst = service.submit(sub_of(COUNTER), 0.0, instrumented=True)
         j_nat = service.submit(sub_of(COUNTER), 0.0, instrumented=False)
-        assert service.cache_misses == 2 and service.cache_hits == 0
+        assert service.metrics.value("compile.cache_misses") == 2
+        assert service.metrics.value("compile.cache_hits") == 0
         assert j_inst.resources["luts"] > j_nat.resources["luts"]
         # Each mode hits its own entry on resubmission.
         service.submit(sub_of(COUNTER), 0.0, instrumented=True)
         service.submit(sub_of(COUNTER), 0.0, instrumented=False)
-        assert service.cache_hits == 2
+        assert service.metrics.value("compile.cache_hits") == 2
 
     def test_hit_skips_host_work(self):
         service = CompileService(full_flow_max_luts=10_000)
@@ -200,8 +202,8 @@ class TestBitstreamCache:
         warm = CompileService(
             cache=BitstreamCache(disk_dir=str(tmp_path)))
         job2 = warm.submit(sub_of(COUNTER), 0.0)
-        assert warm.cache_hits == 1
-        assert warm.cache.disk_hits == 1
+        assert warm.metrics.value("compile.cache_hits") == 1
+        assert warm.cache.metrics.value("cache.disk_hits") == 1
         assert job2.resources == job1.resources
         model = job2.compiled.instantiate()
         model.v_clk = 0
@@ -221,10 +223,10 @@ class TestBitstreamCache:
         service.submit(
             sub_of(COUNTER.replace("counter", "c3")), 0.0).compiled
         assert len(cache) == 2
-        assert cache.evictions == 1
+        assert cache.metrics.value("cache.evictions") == 1
         # The oldest entry (COUNTER) was evicted: resubmit misses.
         service.submit(sub_of(COUNTER), 0.0)
-        assert service.cache_hits == 0
+        assert service.metrics.value("compile.cache_hits") == 0
 
     def test_key_covers_configuration(self):
         base = design_cache_key("module m; endmodule", True, "auto", 0)
@@ -253,7 +255,7 @@ class TestFailureDelivery:
         assert job.state(0.0) == CompileJob.FAILED
         assert job.compiled is None
         assert "toolchain exploded" in job.error
-        assert service.compiles_failed == 1
+        assert service.metrics.value("compile.failed") == 1
 
     def test_runtime_surfaces_compile_failure(self, monkeypatch):
         def boom(design, class_name="CompiledModel"):
@@ -314,7 +316,7 @@ class TestWarmStartPlacement:
         assert s1.warm_starts == 0
         assert s2.submit(sub_of(ALU8), 0.0).compiled is not None
         assert s2.warm_starts == 1
-        assert shared.hits == 1
+        assert shared.metrics.value("placement.hits") == 1
 
 
 class _GatedQueue(CompileQueue):
@@ -355,7 +357,7 @@ class TestSingleFlight:
         job2 = s2.submit(sub_of(COUNTER), 0.0)
         assert not job1.single_flight
         assert job2.single_flight
-        assert s2.single_flight_joins == 1
+        assert s2.metrics.value("compile.single_flight_joins") == 1
         # The follower submitted nothing: one worker, one flow run.
         assert queue.submitted == 1
         assert cache.stats()["in_flight"] == 1
@@ -407,8 +409,8 @@ class TestSingleFlight:
         assert job1.compiled is not None
         job2 = s2.submit(sub_of(COUNTER), 0.0)
         assert job2.cache_hit and not job2.single_flight
-        assert s2.cross_tenant_hits == 1
-        assert s2.single_flight_joins == 0
+        assert s2.metrics.value("compile.cross_tenant_hits") == 1
+        assert s2.metrics.value("compile.single_flight_joins") == 0
 
 
 class TestVirtualTimeIsolation:
@@ -424,7 +426,7 @@ class TestVirtualTimeIsolation:
         s2 = CompileService(cache=cache, isolate_virtual_time=True)
         job2 = s2.submit(sub_of(COUNTER), 0.0)
         assert job2.cache_hit
-        assert s2.cross_tenant_hits == 1
+        assert s2.metrics.value("compile.cross_tenant_hits") == 1
         # Tenant 2 pays what it would have paid alone...
         assert job2.duration_s == job1.duration_s
         assert job2.duration_s > s2.cache_hit_latency_s

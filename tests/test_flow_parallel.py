@@ -10,6 +10,8 @@ survives the round trip unchanged.
 
 import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -21,12 +23,14 @@ from repro.backend.compiler import CompileService
 from repro.backend.fabric import Device, device_for
 from repro.backend.flow import run_flow
 from repro.backend.netlist import Netlist
-from repro.backend.place import _place_reference, place
+from repro.backend.place import place
 from repro.backend.synth import synthesize
 from repro.common.bits import Bits
 from repro.ir.build import Subprogram
 from repro.verilog.elaborate import elaborate_leaf
 from repro.verilog.parser import parse_module
+
+from .oracle_place import place_reference
 
 COUNTER = """
 module counter(input wire clk, input wire rst, output wire [7:0] out);
@@ -100,6 +104,34 @@ class TestPayloads:
         back = Netlist.from_payload(payload)
         assert list(back.cells) == list(netlist.cells)
 
+    def test_netlist_independent_of_hash_seed(self):
+        """Synthesis merges branch frames in insertion order, so the
+        largest corpus design synthesizes to the same netlist under any
+        ``PYTHONHASHSEED``."""
+        script = (
+            "import hashlib\n"
+            "from repro.backend.synth import synthesize\n"
+            "from repro.study.corpus import flow_variant, "
+            "generate_corpus\n"
+            "from repro.verilog.elaborate import elaborate_leaf\n"
+            "from repro.verilog.parser import parse_module\n"
+            "text = max((flow_variant(s) for s in generate_corpus()),"
+            " key=len)\n"
+            "netlist = synthesize(elaborate_leaf(parse_module(text)))\n"
+            "print(netlist.count('LUT'), hashlib.sha256("
+            "repr(netlist.to_payload()).encode()).hexdigest())\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        outputs = set()
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=src)
+            result = subprocess.run(
+                [sys.executable, "-c", script], env=env,
+                capture_output=True, text=True, timeout=120, check=True)
+            outputs.add(result.stdout.strip())
+        assert len(outputs) == 1, outputs
+
     def test_device_payload_round_trip(self):
         device = device_for(64)
         back = Device.from_payload(device.to_payload())
@@ -136,7 +168,7 @@ class TestPayloads:
 
 
 # ----------------------------------------------------------------------
-# Fast kernel vs reference implementation
+# Array kernel vs the reference oracle (tests/oracle_place.py)
 # ----------------------------------------------------------------------
 class TestKernelEquivalence:
     @pytest.mark.parametrize("source", [COUNTER, ALU8])
@@ -145,8 +177,8 @@ class TestKernelEquivalence:
         netlist = synthesize(design_of(source))
         device = device_for(
             max(netlist.count("LUT") + netlist.count("FF"), 16))
-        fast = place(netlist, device, seed=seed, kernel="fast")
-        ref = _place_reference(netlist, device, seed=seed)
+        fast = place(netlist, device, seed=seed)
+        ref = place_reference(netlist, device, seed=seed)
         assert fast.locations == ref.locations
         assert fast.cost == ref.cost
 
@@ -155,8 +187,8 @@ class TestKernelEquivalence:
         device = device_for(64)
         hint = place(netlist, device, seed=1).locations
         fast = place(netlist, device, seed=2, effort=0.35, initial=hint)
-        ref = _place_reference(netlist, device, seed=2, effort=0.35,
-                               initial=hint)
+        ref = place_reference(netlist, device, seed=2, effort=0.35,
+                              initial=hint)
         assert fast.warm_started and ref.warm_started
         assert fast.locations == ref.locations
         assert fast.cost == ref.cost

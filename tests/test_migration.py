@@ -121,7 +121,7 @@ assign led.val = total[7:0];
             assert rt.user_engine_location() == "hardware"
             rt.eval_source(f"wire probe{k}; assign probe{k} = total[0];")
         rt.run(iterations=100)
-        assert rt.hw_migrations >= 5
+        assert rt.metrics.value("runtime.hw_migrations") >= 5
 
     def test_long_session_keeps_jit_bookkeeping_bounded(self):
         """Delivered jobs and their generation entries are dropped at
@@ -137,7 +137,7 @@ assign led.val = total[7:0];
             assert len(rt.compiler.jobs) <= 1
             assert len(rt._job_generation) <= 1
             repl.feed(f'$display("edit {k}");')
-        assert rt.hw_migrations >= 200
+        assert rt.metrics.value("runtime.hw_migrations") >= 200
         assert rt.output_lines[-1] == "edit 199"
 
     def test_generation_guard_drops_stale_compiles(self):

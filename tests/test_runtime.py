@@ -98,7 +98,7 @@ class TestJitLifecycle:
         # ...and a fresh compile brings it back to hardware.
         rt.run(iterations=300)
         assert rt.user_engine_location() == "hardware"
-        assert rt.hw_migrations >= 2
+        assert rt.metrics.value("runtime.hw_migrations") >= 2
 
     def test_unsynthesizable_stays_in_software(self):
         rt = instant_runtime()

@@ -30,6 +30,8 @@ from repro.server.protocol import (FrameError, MAX_FRAME_BYTES,
                                    recv_frame, send_frame)
 from repro.server.session import Session
 
+from .test_compile_cache import _GatedQueue
+
 # One tenant's interactive script: build a counter, run it in pieces,
 # poke at its state, and ask for the timeline.
 TENANT_SRC = """
@@ -459,6 +461,32 @@ class TestServerSessions:
                 assert stats["metrics"]["server.internal_errors"] == 1
         finally:
             sock.close()
+
+    def test_joins_survive_a_closed_session(self, server_factory):
+        """Two tenants single-flight one compile; after the joining
+        tenant's session closes, the server's join total is still the
+        shared cache's count of every tenant's joins."""
+        queue = _GatedQueue()
+        server = server_factory(service_kwargs={"latency_scale": 1.0,
+                                                "queue": queue})
+        try:
+            with connect(server.address) as leader:
+                joiner = connect(server.address)
+                assert leader.eval(TENANT_SRC, timeout=30) == []
+                assert joiner.eval(TENANT_SRC, timeout=30) == []
+                assert queue.submitted == 1
+                joiner.close()
+                deadline = time.monotonic() + 10
+                while len(server.live_sessions()) > 1 and \
+                        time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert len(server.live_sessions()) == 1
+                joins = server.stats()["single_flight_joins"]
+                assert joins == 1
+                assert joins == \
+                    server.metrics_snapshot()["cache.single_flight_joins"]
+        finally:
+            queue.gate.set()
 
     def test_stats_expose_backpressure_counters(self, server_factory):
         server = server_factory()

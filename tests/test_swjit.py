@@ -19,6 +19,7 @@ from repro.backend.compilequeue import CompileQueue
 from repro.backend.compiler import CompileService
 from repro.core.engines import SoftwareEngineAdapter
 from repro.backend.hardware import FastSoftwareEngine
+from repro.common.errors import TypeError_
 from repro.core.repl import Repl
 from repro.core.runtime import Runtime
 from repro.study.corpus import generate_corpus
@@ -149,7 +150,13 @@ end
                     "function signed [15:0] max3" not in solution.source:
                 # A slice of the synthetic class calls a helper it never
                 # wrote — the study's non-working submissions.  No tier
-                # can run these.
+                # can run these: instantiating one is rejected at
+                # elaboration, naming the missing function.
+                rt = _interp_runtime()
+                rt.eval_source(solution.source)
+                with pytest.raises(TypeError_,
+                                   match=r"unknown function '\w*max3'"):
+                    rt.eval_source(self._harness(solution.student_id))
                 continue
             a = self._run_arm(_interp_runtime(), solution)
             b = self._run_arm(_fast_runtime(), solution)
@@ -290,7 +297,7 @@ end
         rt.eval_source(TestCounterParity.SRC)
         rt.run_until_finish()
         assert rt.finished is not None
-        assert rt.fastpath_failures == 1
+        assert rt.metrics.value("runtime.fastpath_failures") == 1
         assert rt.sw_migrations == 0
         ref = Runtime(enable_jit=False)
         ref.eval_source(TestCounterParity.SRC)
