@@ -100,10 +100,12 @@ class CompileQueue:
     future.  That mode exists for debugging (tracebacks point at the
     submit site) and for comparing against the synchronous baseline.
 
-    If a process pool cannot be created or used (some sandboxes forbid
-    semaphores or fork), the lane degrades to a thread pool — slower
-    under load but never wrong, since every shipped job is a pure
-    function of its arguments.
+    A process pool broken by a dead worker (OOM kill, SIGKILL) is
+    replaced by a fresh process pool on the next submit and counted in
+    ``restarts``.  Only if a fresh process pool cannot start either
+    (some sandboxes forbid semaphores or fork) does the lane degrade to
+    a thread pool — slower under load but never wrong, since every
+    shipped job is a pure function of its arguments.
     """
 
     def __init__(self, max_workers: Optional[int] = None,
@@ -117,6 +119,8 @@ class CompileQueue:
         self.name = name
         self.kind = kind
         self.degraded = False
+        #: Broken process pools replaced by fresh ones.
+        self.restarts = 0
         self._executor = None
         self._lock = threading.Lock()
         # Guarded by _lock: submit() is called from many session/worker
@@ -135,6 +139,7 @@ class CompileQueue:
                     except (OSError, ValueError, ImportError):
                         # No multiprocessing primitives available here:
                         # fall back to threads (correct, just GIL-bound).
+                        self.kind = "thread"
                         self.degraded = True
                         self._executor = ThreadPoolExecutor(
                             max_workers=self.max_workers,
@@ -155,20 +160,39 @@ class CompileQueue:
             except BaseException as exc:  # mirrored from executor workers
                 future.set_exception(exc)
             return future
+        pool = self._pool()
         try:
-            return self._pool().submit(fn, *args, **kwargs)
+            return pool.submit(fn, *args, **kwargs)
         except (OSError, RuntimeError):
-            if self.kind != "process" or self.degraded:
+            if self.kind != "process":
                 raise
-            # The process pool died (or could not start a worker):
-            # degrade to threads and retry once.
-            with self._lock:
-                broken, self._executor = self._executor, None
+        # The process pool is broken (a worker died): replace it with a
+        # fresh one, once however many threads saw it break.
+        self._discard(pool, restart=True)
+        pool = self._pool()
+        try:
+            return pool.submit(fn, *args, **kwargs)
+        except (OSError, RuntimeError):
+            pass
+        # A fresh process pool cannot start a worker here: degrade to
+        # threads (correct, just GIL-bound).
+        self._discard(pool, restart=False)
+        return self._pool().submit(fn, *args, **kwargs)
+
+    def _discard(self, pool, restart: bool) -> None:
+        """Drop ``pool`` if it is still the live executor; the next
+        :meth:`_pool` builds a process pool again (``restart``) or a
+        thread pool."""
+        with self._lock:
+            if self._executor is not pool:
+                return
+            self._executor = None
+            if restart:
+                self.restarts += 1
+            else:
                 self.kind = "thread"
                 self.degraded = True
-            if broken is not None:
-                broken.shutdown(wait=False)
-            return self._pool().submit(fn, *args, **kwargs)
+        pool.shutdown(wait=False)
 
     def cancel(self, future: Future) -> bool:
         """Best-effort cancellation: queued work is dropped; running
@@ -184,7 +208,8 @@ class CompileQueue:
 
     def stats(self) -> dict:
         return {"kind": self.kind, "workers": self.max_workers,
-                "submitted": self.submitted, "degraded": self.degraded}
+                "submitted": self.submitted, "degraded": self.degraded,
+                "restarts": self.restarts}
 
 
 _shared: Optional[CompileQueue] = None

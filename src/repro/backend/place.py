@@ -8,10 +8,16 @@ INPUT/OUTPUT to a perimeter pad, minimising total half-perimeter
 wirelength under an exponential cooling schedule.
 
 The kernel is array-based: cells are integer indices, coordinates live
-in flat lists, and every net caches its bounding box, updated
-incrementally on each move (a from-scratch rescan happens only when a
-moved cell sat on the box boundary or a swap touched the net twice).
-Rejected moves restore the saved boxes instead of recomputing them.
+in flat lists, and every net caches its bounding box.  A move updates
+the box of each net it touches in O(1) when the moved cell sat strictly
+inside it (the box can only grow) and rescans the net only when the
+cell sat on the boundary.  A swap is two single-cell moves: a net
+holding one of the two cells saw exactly that cell move and takes the
+same update; a net holding both keeps its box and is skipped.  Each
+net's member list is deduplicated (a cell can drive two fanin pins of
+one sink), so a move visits each of its nets exactly once.  Rejected
+moves restore the saved boxes instead of recomputing them.
+
 The original dict-of-lists annealer is kept as a differential test
 oracle in ``tests/oracle_place.py``: it draws the same random-number
 sequence and makes the same accept/reject decisions, so its placements
@@ -165,7 +171,9 @@ def place(netlist: Netlist, device: Device, seed: int = 1,
 
     net_cells: List[List[int]] = []
     for net in _net_bboxes(netlist):
-        members = [index[c] for c in net if c in index]
+        # A sink taking this net on two fanin pins is listed twice; the
+        # move loop must see each of a cell's nets exactly once.
+        members = list(dict.fromkeys(index[c] for c in net if c in index))
         if len(members) > 1:
             net_cells.append(members)
     cell_nets: List[List[int]] = [[] for _ in names]
@@ -192,8 +200,8 @@ def place(netlist: Netlist, device: Device, seed: int = 1,
         _schedule(cost, n, effort, warm_started)
     tried = accepted = 0
 
-    # Per-move scratch: nets touched this move, with their saved state
-    # (epoch stamps avoid building a set per move).
+    # Swap scratch: epoch stamps mark the nets of the second cell, so
+    # no set is built per move.
     mark = [0] * n_nets
     epoch = 0
     rng_random = rng.random
@@ -211,7 +219,7 @@ def place(netlist: Netlist, device: Device, seed: int = 1,
                 free_sites[idx] = (ax, ay)
                 loc_x[a], loc_y[a] = nx, ny
                 b = -1
-                free_swap = idx
+                walks = ((cell_nets[a], ax, ay, nx, ny),)
             else:
                 b = rng_choice(pl_idx)
                 if a == b:
@@ -219,34 +227,41 @@ def place(netlist: Netlist, device: Device, seed: int = 1,
                 nx, ny = loc_x[b], loc_y[b]
                 loc_x[b], loc_y[b] = ax, ay
                 loc_x[a], loc_y[a] = nx, ny
-                free_swap = -1
+                # A swap is two single-cell moves.  A net joining both
+                # cells keeps its box (two members traded places) and
+                # is skipped; every other net saw exactly one cell move.
+                epoch += 1
+                for t in cell_nets[b]:
+                    mark[t] = epoch
+                a_only = []
+                for t in cell_nets[a]:
+                    if mark[t] == epoch:
+                        mark[t] = 0
+                    else:
+                        a_only.append(t)
+                b_only = [t for t in cell_nets[b] if mark[t] == epoch]
+                walks = ((a_only, ax, ay, nx, ny), (b_only, nx, ny, ax, ay))
 
             # Delta over affected nets, bounding boxes updated in place.
-            epoch += 1
             delta = 0
             touched: List[Tuple[int, int, int, int, int, int]] = []
-            single = b < 0
-            for moved in ((a,) if single else (a, b)):
-                for t in cell_nets[moved]:
-                    if mark[t] == epoch:
-                        # A net joining both swapped cells: its box is
-                        # unchanged by exchanging two of its members.
-                        continue
-                    mark[t] = epoch
+            for nets, ox, oy, tx, ty in walks:
+                for t in nets:
                     lox, hix = bb_lox[t], bb_hix[t]
                     loy, hiy = bb_loy[t], bb_hiy[t]
-                    touched.append((t, net_cost[t], lox, hix, loy, hiy))
-                    if single and lox < ax < hix and loy < ay < hiy:
+                    old_cost = net_cost[t]
+                    touched.append((t, old_cost, lox, hix, loy, hiy))
+                    if lox < ox < hix and loy < oy < hiy:
                         # The moved cell was strictly inside: the box
                         # can only grow, O(1).
-                        if nx < lox:
-                            lox = nx
-                        elif nx > hix:
-                            hix = nx
-                        if ny < loy:
-                            loy = ny
-                        elif ny > hiy:
-                            hiy = ny
+                        if tx < lox:
+                            lox = tx
+                        elif tx > hix:
+                            hix = tx
+                        if ty < loy:
+                            loy = ty
+                        elif ty > hiy:
+                            hiy = ty
                     else:
                         members = net_cells[t]
                         c0 = members[0]
@@ -267,7 +282,7 @@ def place(netlist: Netlist, device: Device, seed: int = 1,
                     bb_loy[t], bb_hiy[t] = loy, hiy
                     new_cost = (hix - lox) + (hiy - loy)
                     net_cost[t] = new_cost
-                    delta += new_cost - touched[-1][1]
+                    delta += new_cost - old_cost
 
             if delta <= 0 or rng_random() < exp(-delta / temperature):
                 cost += delta
@@ -275,8 +290,8 @@ def place(netlist: Netlist, device: Device, seed: int = 1,
             else:
                 # Reject: restore coordinates and the saved boxes — no
                 # recomputation.
-                if free_swap >= 0:
-                    free_sites[free_swap] = (nx, ny)
+                if b < 0:
+                    free_sites[idx] = (nx, ny)
                 else:
                     loc_x[b], loc_y[b] = nx, ny
                 loc_x[a], loc_y[a] = ax, ay

@@ -456,12 +456,10 @@ class _ExprCompiler:
 
     def _call(self, expr: ast.Call, ctx: int, signed: bool) -> str:
         name = expr.name
-        if name == "$signed":
+        if name in ("$signed", "$unsigned"):
+            # Extended by the context's signedness, like any operand.
             code, w, _ = self.rvalue(expr.args[0])
-            return self._coerce(code, w, True, ctx, True)
-        if name == "$unsigned":
-            code, w, _ = self.rvalue(expr.args[0])
-            return self._coerce(code, w, True, ctx, False)
+            return self._coerce(code, w, True, ctx, signed)
         if name == "$clog2":
             code, _, _ = self.rvalue(expr.args[0])
             return f"(pyrt.clog2({code}) & {_mask(ctx)})"

@@ -470,14 +470,11 @@ class _Synth:
 
     def _call(self, e: ast.Call, ctx: int, signed: bool, frame) -> BitVec:
         name = e.name
-        if name == "$signed":
+        if name in ("$signed", "$unsigned"):
             w = e.args[0].ann[0]
-            vec = self.expr(e.args[0], w, True, frame)
-            return self.resize(vec, ctx, True)
-        if name == "$unsigned":
-            w = e.args[0].ann[0]
-            vec = self.expr(e.args[0], w, False, frame)
-            return self.resize(vec, ctx, False)
+            vec = self.expr(e.args[0], w, name == "$signed", frame)
+            # Extended by the context's signedness, like any operand.
+            return self.resize(vec, ctx, signed)
         if name.startswith("$"):
             raise SynthesisError(f"{name} cannot be synthesized")
         fn = self.design.functions.get(name)

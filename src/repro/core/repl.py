@@ -161,7 +161,8 @@ class Repl:
                 f"({s['placement_cache']['entries']} entries)",
                 f"flow lane: {s['flow_lane']['kind']} x"
                 f"{s['flow_lane']['workers']}, "
-                f"{s['flow_lane']['place_starts']} place starts"
+                f"{s['flow_lane']['place_starts']} place starts, "
+                f"{s['flow_lane']['restarts']} restarts"
                 + (" (degraded)" if s['flow_lane']['degraded'] else ""),
                 "host seconds: " + ", ".join(
                     f"{k.rsplit('_', 1)[0]} {v:.3f}"

@@ -389,13 +389,12 @@ class ExprBuilder:
         _, _, ctx, signed = e.ann
         name = e.name
         if name in ("$signed", "$unsigned"):
+            # Typed and extended by its context like any operand (IEEE
+            # 1364 §5.5.4): $signed(x) zero-extends in an unsigned one.
             arg, k = self._build(e.args[0])
-            to_signed = name == "$signed"
 
             def cast():
-                v = arg()
-                return coerce(Bits(v.width, v.aval, v.bval, to_signed),
-                              ctx, to_signed)
+                return coerce(arg(), ctx, signed)
             return cast, self._fold(k)
         if name == "$clog2":
             arg, k = self._build(e.args[0])

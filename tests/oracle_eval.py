@@ -394,12 +394,9 @@ class ExprEvaluator:
 
     def _eval_call(self, expr: ast.Call, ctx: int, signed: bool) -> Bits:
         name = expr.name
-        if name == "$signed":
-            v = self.eval_self(expr.args[0]).as_signed()
-            return self._coerce(v, ctx, True)
-        if name == "$unsigned":
-            v = self.eval_self(expr.args[0]).as_unsigned()
-            return self._coerce(v, ctx, False)
+        if name in ("$signed", "$unsigned"):
+            # Typed and extended by the context, like any operand.
+            return self._coerce(self.eval_self(expr.args[0]), ctx, signed)
         if name == "$clog2":
             v = self.eval_self(expr.args[0])
             if v.has_xz:

@@ -88,6 +88,19 @@ endmodule"""))
             values = nl.simulate_comb(ins)
             assert values[nl.outputs["lt"]] == int(sa < sb)
 
+    def test_signed_cast_in_unsigned_context_gate_level(self):
+        # Zero-extended like any operand of an unsigned expression.
+        nl = synthesize(design_of("""
+module sc(input wire [3:0] a, input wire [7:0] b, output wire [7:0] y);
+  assign y = ($signed(a) >>> 1) + b;
+endmodule"""))
+        for a in range(16):
+            ins = {f"a[{i}]": (a >> i) & 1 for i in range(4)}
+            ins.update({f"b[{i}]": 0 for i in range(8)})
+            values = nl.simulate_comb(ins)
+            y = sum(values[nl.outputs[f"y[{i}]"]] << i for i in range(8))
+            assert y == a >> 1
+
     def test_memories_rejected(self):
         with pytest.raises(SynthesisError):
             synthesize(design_of("""

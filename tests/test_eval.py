@@ -102,6 +102,14 @@ class TestSignedness:
     def test_signed_function(self):
         assert eval_expr("reg [7:0] a = 8'hFF;", "$signed(a)") == "-1"
 
+    def test_signed_function_in_unsigned_context(self):
+        # An unsigned operand makes the whole expression unsigned: the
+        # cast operand is zero-extended and >>> shifts in zeros.
+        decl = "reg [3:0] a = 4'b1000; reg [7:0] b = 0;"
+        assert eval_expr(decl, "$signed(a) + b") == "8"
+        assert eval_expr(decl, "($signed(a) >>> 1) + b") == "4"
+        assert eval_expr(decl, "$signed(a) + 8'sd0") == "-8"
+
     def test_unsigned_function(self):
         assert eval_expr("reg signed [7:0] a = -1;",
                          "$unsigned(a)") == "255"

@@ -62,6 +62,11 @@ REGRESSIONS = {
     "exponent_resized_to_ctx": ("", "d ** 2'd2"),
     "exponent_wider_than_ctx": ("", "c[p -: 2] ** p"),
     "negative_exponent": ("signed [7:0]", "b ** 2'sb11"),
+    # Shrunk from seeds 336 and 663: a $signed(...) operand of an
+    # unsigned expression is zero-extended and unsigned (IEEE 1364
+    # §5.5.4), so >>> shifts in zeros.
+    "signed_cast_shift_in_unsigned_compare": ("", "($signed(p) >>> p) < a"),
+    "signed_cast_in_unsigned_or": ("[39:0]", "($signed(e) >>> 4) | e"),
 }
 
 

@@ -8,13 +8,16 @@ multi-start width — and everything shipped across a process boundary
 survives the round trip unchanged.
 """
 
+import functools
 import os
 import pickle
+import signal
 import subprocess
 import sys
 
 import pytest
 
+from repro.backend import flow
 from repro.backend.cache import PlacementCache
 from repro.backend.compilequeue import (CompileQueue,
                                         _default_flow_workers,
@@ -22,15 +25,18 @@ from repro.backend.compilequeue import (CompileQueue,
 from repro.backend.compiler import CompileService
 from repro.backend.fabric import Device, device_for
 from repro.backend.flow import run_flow
-from repro.backend.netlist import Netlist
-from repro.backend.place import place
+from repro.backend.netlist import Cell, Netlist
+from repro.backend.place import Placement, _net_bboxes, place
+from repro.backend.route import route
 from repro.backend.synth import synthesize
 from repro.common.bits import Bits
 from repro.ir.build import Subprogram
+from repro.study.corpus import flow_variant, generate_corpus
 from repro.verilog.elaborate import elaborate_leaf
 from repro.verilog.parser import parse_module
 
 from .oracle_place import place_reference
+from .oracle_route import route_reference
 
 COUNTER = """
 module counter(input wire clk, input wire rst, output wire [7:0] out);
@@ -71,14 +77,59 @@ endmodule
 """
 
 
+# The mux selecting on q[0] also takes q[0] as data: its LUT lists that
+# net twice, so the net's member list names the mux twice.
+SHIFT = """
+module shift(input wire clk, input wire [3:0] d, output wire [3:0] out);
+  reg [3:0] q = 0;
+  always @(posedge clk)
+    q <= q[0] ? {q[3:1], q[0]} : d;
+  assign out = q;
+endmodule
+"""
+
+
+def bank(n):
+    """A ring of n 8-bit registers (closes 50 MHz timing)."""
+    lines = [f"reg [7:0] c{i} = {i * 37 % 256};" for i in range(n)]
+    lines += [f"always @(posedge clk) c{i} <= c{i} ^ (c{(i + 1) % n} >> 1);"
+              for i in range(n)]
+    return ("module Bank(input wire clk, output wire [7:0] out);\n"
+            + "\n".join(lines) + "\nassign out = c0 ^ c1;\nendmodule\n")
+
+
 def design_of(text):
     return elaborate_leaf(parse_module(text))
+
+
+def netlist_and_device(text):
+    netlist = synthesize(design_of(text))
+    cells = netlist.count("LUT") + netlist.count("FF")
+    return netlist, device_for(max(cells, 16))
 
 
 def placement_key(placement):
     """Everything that identifies a placement result."""
     return (placement.seed, placement.cost, placement.warm_started,
             sorted(placement.locations.items()))
+
+
+def anneal_key(placement):
+    """A placement plus the annealing trajectory that produced it."""
+    return (placement_key(placement), placement.moves_tried,
+            placement.moves_accepted)
+
+
+@pytest.fixture(scope="module")
+def corpus12():
+    """Corpus design 12's gate-level projection (~4.1k cells): two nets
+    of more than 280 members, one of which lists a member twice."""
+    netlist, device = netlist_and_device(
+        flow_variant(generate_corpus()[12]))
+    nets = _net_bboxes(netlist)
+    assert sum(len(net) > 280 for net in nets) == 2
+    assert any(len(set(net)) < len(net) for net in nets)
+    return netlist, device
 
 
 # ----------------------------------------------------------------------
@@ -174,24 +225,112 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("source", [COUNTER, ALU8])
     @pytest.mark.parametrize("seed", [1, 2])
     def test_fast_matches_reference(self, source, seed):
-        netlist = synthesize(design_of(source))
-        device = device_for(
-            max(netlist.count("LUT") + netlist.count("FF"), 16))
+        netlist, device = netlist_and_device(source)
         fast = place(netlist, device, seed=seed)
         ref = place_reference(netlist, device, seed=seed)
-        assert fast.locations == ref.locations
-        assert fast.cost == ref.cost
+        assert anneal_key(fast) == anneal_key(ref)
 
     def test_fast_matches_reference_warm_start(self):
-        netlist = synthesize(design_of(ALU8))
-        device = device_for(64)
+        netlist, device = netlist_and_device(ALU8)
         hint = place(netlist, device, seed=1).locations
         fast = place(netlist, device, seed=2, effort=0.35, initial=hint)
         ref = place_reference(netlist, device, seed=2, effort=0.35,
                               initial=hint)
         assert fast.warm_started and ref.warm_started
-        assert fast.locations == ref.locations
-        assert fast.cost == ref.cost
+        assert anneal_key(fast) == anneal_key(ref)
+
+    def test_duplicated_member_cold_and_warm(self):
+        """The mux listed twice sits on a five-member net, so its moves
+        often change the net's box: a net visited twice in one move
+        would restore its post-move box on rejection."""
+        netlist, device = netlist_and_device(SHIFT)
+        assert any(len(set(net)) < len(net)
+                   for net in _net_bboxes(netlist))
+        for seed in (1, 2):
+            fast = place(netlist, device, seed=seed)
+            ref = place_reference(netlist, device, seed=seed)
+            assert anneal_key(fast) == anneal_key(ref)
+            fast = place(netlist, device, seed=seed + 1, effort=0.35,
+                         initial=fast.locations)
+            ref = place_reference(netlist, device, seed=seed + 1,
+                                  effort=0.35, initial=ref.locations)
+            assert fast.warm_started
+            assert anneal_key(fast) == anneal_key(ref)
+
+    def test_corpus_design_cold_and_warm(self, corpus12):
+        """Thousands of swaps touching the two large nets; the oracle
+        rescans every net a move touches, the kernel takes the O(1)
+        update wherever the moved cell sat strictly inside."""
+        netlist, device = corpus12
+        fast = place(netlist, device, seed=1, effort=0.005)
+        ref = place_reference(netlist, device, seed=1, effort=0.005)
+        assert anneal_key(fast) == anneal_key(ref)
+        hint = fast.locations
+        fast = place(netlist, device, seed=2, effort=0.005, initial=hint)
+        ref = place_reference(netlist, device, seed=2, effort=0.005,
+                              initial=hint)
+        assert fast.warm_started
+        assert anneal_key(fast) == anneal_key(ref)
+
+
+# ----------------------------------------------------------------------
+# Integer router vs the reference oracle (tests/oracle_route.py)
+# ----------------------------------------------------------------------
+def routing_key(result):
+    return (result.wirelength, result.max_congestion,
+            result.overflow_segments, result.iterations)
+
+
+def narrowed(device, capacity):
+    return Device(device.name, device.width, device.height,
+                  channel_capacity=capacity)
+
+
+class TestRouterEquivalence:
+    @pytest.mark.parametrize("source", [COUNTER, ALU8, bank(8)],
+                             ids=["counter", "alu8", "bank8"])
+    def test_matches_reference(self, source):
+        netlist, device = netlist_and_device(source)
+        placement = place(netlist, device, seed=1)
+        assert routing_key(route(netlist, placement, device)) == \
+            routing_key(route_reference(netlist, placement, device))
+
+    def test_matches_reference_on_corpus_design(self, corpus12):
+        """Overflows through all four rounds on its own device."""
+        netlist, device = corpus12
+        placement = place(netlist, device, seed=1, effort=0.005)
+        ref = route_reference(netlist, placement, device)
+        assert ref.iterations == 4
+        assert routing_key(route(netlist, placement, device)) == \
+            routing_key(ref)
+
+    def test_matches_reference_through_every_round(self):
+        """Overflow persists through all four negotiation rounds, so
+        the history costs steer every re-route."""
+        netlist, device = netlist_and_device(ALU8)
+        placement = place(netlist, device, seed=1)
+        starved = narrowed(device, 1)
+        ref = route_reference(netlist, placement, starved)
+        assert ref.iterations == 4 and ref.overflow_segments > 0
+        assert routing_key(route(netlist, placement, starved)) == \
+            routing_key(ref)
+
+    def test_tied_paths_take_horizontal_first(self):
+        """a -> b has two L paths of equal cost; the horizontal-first
+        one leaves the d -> e channel free.  Taking the other would
+        overflow it and force a second round."""
+        netlist = Netlist("tie")
+        netlist.add(Cell("a", "INPUT"))
+        netlist.add(Cell("b", "LUT", ["a"], truth=2))
+        netlist.add(Cell("d", "INPUT"))
+        netlist.add(Cell("e", "LUT", ["d"], truth=2))
+        placement = Placement({"a": (0, 0), "b": (1, 1), "d": (0, 1),
+                               "e": (1, 1)}, 0.0, 0, 0)
+        device = Device("tie", 3, 3, channel_capacity=1)
+        fast = route(netlist, placement, device)
+        assert routing_key(fast) == (3, 1, 0, 1)
+        assert routing_key(fast) == \
+            routing_key(route_reference(netlist, placement, device))
 
 
 # ----------------------------------------------------------------------
@@ -319,11 +458,25 @@ class TestEnvKnobs:
 # ----------------------------------------------------------------------
 # End to end through the compile service
 # ----------------------------------------------------------------------
+_CANDIDATE = flow._pr_candidate
+
+
+def _killed_once(marker, *args):
+    """A flow candidate whose first run SIGKILLs the worker process
+    running it, mid-candidate; every later run (the inline retry
+    included) is the real candidate."""
+    if not os.path.exists(marker):
+        open(marker, "w").close()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _CANDIDATE(*args)
+
+
 class TestServiceFlowLane:
-    def _service(self, flow_queue):
+    def _service(self, flow_queue, place_starts=2):
         return CompileService(full_flow_max_luts=10_000,
                               queue=CompileQueue(max_workers=0),
-                              flow_queue=flow_queue, place_starts=2)
+                              flow_queue=flow_queue,
+                              place_starts=place_starts)
 
     def test_process_lane_matches_inline(self):
         sub = Subprogram("t", parse_module(ALU8), False, "alu8", {})
@@ -357,5 +510,40 @@ class TestServiceFlowLane:
             assert placement_key(report.placement) == \
                 placement_key(baseline.placement)
             assert lane.stats()["degraded"]
+        finally:
+            lane.shutdown(wait=False)
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"),
+                        reason="needs SIGKILL")
+    def test_killed_worker_restarts_process_lane(self, monkeypatch,
+                                                 tmp_path):
+        """A SIGKILLed worker costs one counted inline retry; the next
+        submit replaces the broken pool with a fresh process pool
+        instead of degrading the lane to threads."""
+        sub = Subprogram("t", parse_module(ALU8), False, "alu8", {})
+        inline = self._service(CompileQueue(max_workers=0), 1)
+        want = inline.submit(sub, now_s=0.0)
+        lane = CompileQueue(max_workers=1, kind="process")
+        monkeypatch.setattr(flow, "_pr_candidate", functools.partial(
+            _killed_once, str(tmp_path / "killed")))
+        try:
+            first = self._service(lane, 1)
+            job = first.submit(sub, now_s=0.0)
+            assert (tmp_path / "killed").exists()
+            assert job.error is None
+            assert job.resources == want.resources
+            assert list(first.placements._entries.values()) == \
+                list(inline.placements._entries.values())
+            assert first.stats()["flow_candidate_retries"] == 1
+
+            second = self._service(lane, 1)
+            again = second.submit(sub, now_s=0.0)
+            assert again.error is None
+            assert again.resources == want.resources
+            assert second.stats()["flow_candidate_retries"] == 0
+            stats = second.stats()["flow_lane"]
+            assert stats["kind"] == "process"
+            assert not stats["degraded"]
+            assert stats["restarts"] == 1
         finally:
             lane.shutdown(wait=False)
