@@ -20,7 +20,7 @@ from typing import List, Optional
 
 from ..common.errors import CascadeError, LexError, ParseError
 from ..obs import merge_registries, tracer
-from .runtime import Runtime
+from .runtime import FUSED_HANDBACKS, Runtime
 
 __all__ = ["Repl", "main"]
 
@@ -188,6 +188,19 @@ class Repl:
                 f"{rt.metrics.value('runtime.fastpath_failures')}"
                 + (f" (last: {rt.last_fastpath_failure})"
                    if rt.last_fastpath_failure else ""))
+            handbacks = {reason: int(rt.metrics.value(
+                f"runtime.fused.handback.{reason}"))
+                for reason in FUSED_HANDBACKS}
+            ineligible = handbacks.pop("ineligible")
+            lines.append(
+                f"fused kernel: "
+                f"{int(rt.metrics.value('runtime.fused.iterations'))} "
+                f"iterations; hand-backs: "
+                + ", ".join(f"{reason} {count}"
+                            for reason, count in handbacks.items())
+                + f"; ineligible engine sets: {ineligible}"
+                + (f" (last: {rt.fused_ineligible})"
+                   if rt.fused_ineligible else ""))
             # The merged-registry view: every registry in reach,
             # deduplicated by identity (DESIGN.md §4.7).
             merged = merge_registries(

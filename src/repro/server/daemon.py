@@ -113,6 +113,8 @@ class CascadeServer:
             "server.sessions_rejected")
         self._c_sessions_evicted = self.metrics.counter(
             "server.sessions_evicted")
+        self._c_sessions_lost = self.metrics.counter(
+            "server.sessions_lost")
         # Counted by the scheduler; created now so snapshots read 0.
         self.metrics.counter("server.internal_errors")
         self._closed_totals = {"frames_in": 0, "frames_out": 0,
@@ -274,7 +276,9 @@ class CascadeServer:
             session.push_frame({"type": "error", "message": str(exc)})
             self.close_session(session, "protocol-error")
         except OSError:
-            pass
+            # A reset (or otherwise broken) connection: the client is
+            # gone, so the session closes instead of lingering open.
+            self.close_session(session, "connection-lost")
         self.scheduler.wake()
 
     def _writer(self, session: Session) -> None:
@@ -322,6 +326,8 @@ class CascadeServer:
         if session.begin_goodbye(reason):
             if reason == "idle":
                 self._c_sessions_evicted.inc()
+            elif reason == "connection-lost":
+                self._c_sessions_lost.inc()
 
     def sweep_idle(self) -> None:
         """Evict sessions with no inbound traffic for the idle window
@@ -357,6 +363,7 @@ class CascadeServer:
             "sessions_total": self._c_sessions_total.value,
             "sessions_rejected": self._c_sessions_rejected.value,
             "sessions_evicted": self._c_sessions_evicted.value,
+            "sessions_lost": self._c_sessions_lost.value,
             "max_sessions": self.max_sessions,
             "frames_in": frames_in,
             "frames_out": frames_out,

@@ -23,7 +23,9 @@ Server → client frames:
 * ``output``  — streamed program output (``$display`` etc.)
 * ``result``  — completion of the request with the same ``id``
 * ``goodbye`` — the session is over (``reason``: client/idle/
-  server-full/shutdown/protocol-error) — always the last frame
+  server-full/shutdown/protocol-error/internal-error/connection-lost)
+  — always the last frame; a ``connection-lost`` session's peer reset
+  the connection, so that goodbye is queued but never delivered
 * ``error``   — a malformed request that did not kill the session
 
 Oversized frames are rejected: a length prefix above

@@ -400,6 +400,34 @@ class TestServerSessions:
         finally:
             sock.close()
 
+    def test_reset_connection_closes_a_counted_session(self,
+                                                       server_factory):
+        """A client that resets its connection mid-frame leaves no open
+        session behind (eviction is off), the loss is counted, and the
+        other tenant's evals still succeed."""
+        server = server_factory(idle_timeout_s=0)
+        with connect(server.address) as healthy:
+            assert healthy.eval(TENANT_SRC, timeout=30) == []
+            sock = socket.create_connection(server.address, timeout=10)
+            assert recv_frame(sock)["type"] == "welcome"
+            # Half a frame, then close with a zero linger: a RST.
+            sock.sendall(struct.pack("!I", 100) + b'{"type": "e')
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+            sock.close()
+            deadline = time.monotonic() + 10
+            while len(server.live_sessions()) > 1 and \
+                    time.monotonic() < deadline:
+                time.sleep(0.01)
+            (alive,) = server.live_sessions()
+            assert not alive.closing
+            stats = server.stats()
+            assert stats["sessions_lost"] == 1
+            assert stats["sessions_evicted"] == 0
+            assert healthy.eval("reg r2 = 0;", timeout=30) == []
+            assert healthy.command(":run 20", timeout=30) == \
+                "ran 20 iterations"
+
     def test_unknown_frame_type_is_survivable(self, server_factory):
         server = server_factory()
         sock = socket.create_connection(server.address, timeout=10)
