@@ -120,15 +120,32 @@ class DataPlane:
                     continue
                 net, readers = target
                 value = engine.read(port)
-                charge(hardware)
                 old = values.get(net)
                 if old is not None and old.aval == value.aval \
                         and old.bval == value.bval:
+                    charge(hardware)
                     continue
-                values[net] = value
-                for reader, reader_port, reader_hw, j in readers:
-                    charge(reader_hw)
-                    reader.write(reader_port, value)
-                    dirty[j] = True
+                if self.deliver(hardware, net, value, readers):
                     delivered = True
         return delivered
+
+    def deliver(self, hardware: bool, net: str, value: Bits,
+                readers: Tuple[_Reader, ...]) -> bool:
+        """Send a changed output to its net's readers: one message from
+        the driver (``hardware`` when it is on the fabric), one to each
+        reader, each charged.  Returns True when there was a reader."""
+        charge = self._charge
+        charge(hardware)
+        self.values[net] = value
+        dirty = self.dirty
+        for reader, reader_port, reader_hw, j in readers:
+            charge(reader_hw)
+            reader.write(reader_port, value)
+            dirty[j] = True
+        return bool(readers)
+
+    def readers_of(self, route: int, port: str
+                   ) -> Tuple[str, Tuple[_Reader, ...]]:
+        """The net bound route ``route``'s output ``port`` drives, and
+        that net's bound readers."""
+        return self._routes[route][2][port]

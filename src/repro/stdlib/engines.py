@@ -132,6 +132,10 @@ def _port_width(subprogram: Subprogram, port: str) -> int:
     return table[port].width
 
 
+#: The clock's two levels; Bits are immutable, so every tick shares them.
+_LEVELS = (Bits.from_int(0, 1), Bits.from_int(1, 1))
+
+
 class ClockEngine(StdlibEngine):
     """The global clock: toggles ``val`` every scheduler iteration.
 
@@ -151,10 +155,21 @@ class ClockEngine(StdlibEngine):
         return self._pending
 
     def update(self) -> None:
-        self._events += 1
         if self._pending:
-            self._set("val", 1 - self.ports["val"].to_int_xz())
-            self._pending = False
+            self.toggle()
+            self._changed.add("val")
+        else:
+            self._events += 1
+
+    def toggle(self) -> Bits:
+        """The update's tick for a caller that delivers ``val`` itself
+        (the fused scheduler kernel): count the event, flip the level
+        and return it without queueing it for the plane."""
+        self._events += 1
+        self._pending = False
+        value = _LEVELS[1 - self.ports["val"].to_int_xz()]
+        self.ports["val"] = value
+        return value
 
     def end_step(self) -> None:
         # Re-queue the tick once the interrupt queue is empty (§3.5).

@@ -79,6 +79,26 @@ class TestJitLifecycle:
         assert rt._open_loop_active
         assert rt.virtual_clock_ticks > 500
 
+    def test_open_loop_runs_actions_pushed_during_a_batch(self):
+        rt = instant_runtime()
+        rt.eval_source(RUNNING)
+        rt.run(iterations=2000)
+        assert rt._open_loop_active
+        hw = rt.engines[rt.program.user_subprograms()[0].name]
+        batch, ran = hw.open_loop, []
+
+        def open_loop(clock_port, steps):
+            rt.interrupts.push_action(lambda: ran.append(rt.iterations))
+            return batch(clock_port, steps)
+
+        hw.open_loop = open_loop
+        before = rt.iterations
+        rt.run(iterations=1)
+        # The batch's own window serviced the action, after the batch.
+        assert len(ran) == 1 and ran[0] > before
+        assert not rt.interrupts
+        assert rt._open_loop_active
+
     def test_compile_latency_hides_behind_simulation(self):
         rt = Runtime()  # real latency model
         rt.eval_source(RUNNING)
