@@ -209,9 +209,6 @@ class HardwareEngine(CollectedTasks, Engine):
     # ------------------------------------------------------------------
     # ABI forwarding (§4.3)
     # ------------------------------------------------------------------
-    def supports_forwarding(self) -> bool:
-        return True
-
     def forward(self, inner: Engine) -> None:
         """Absorb a standard-library engine: link its ports to our local
         variables over shared nets and take over its scheduling."""
@@ -265,9 +262,6 @@ class HardwareEngine(CollectedTasks, Engine):
     # ------------------------------------------------------------------
     # Open-loop scheduling (§4.4)
     # ------------------------------------------------------------------
-    def supports_open_loop(self) -> bool:
-        return self.clock_attr is not None
-
     def open_loop(self, clock_port: str, steps: int) -> int:
         model = self.model
         attr = self.clock_attr or attr_name(clock_port)
@@ -371,12 +365,6 @@ class FastSoftwareEngine(HardwareEngine):
         for sig in self.compiled.edge_signals:
             attr = attr_name(sig)
             setattr(model, "p_" + attr, getattr(model, attr))
-
-    def supports_forwarding(self) -> bool:
-        return False
-
-    def supports_open_loop(self) -> bool:
-        return False
 
     def __repr__(self) -> str:
         return f"FastSoftwareEngine({self.subprogram.name})"

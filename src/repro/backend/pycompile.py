@@ -27,7 +27,7 @@ from ..common.errors import SynthesisError
 from ..verilog import ast
 from ..verilog.elaborate import Design, Function
 from ..interp.engine import read_set_of, read_set_of_lvalue_indices
-from ..verilog.visitor import walk
+from ..verilog.visitor import lvalue_idents, walk
 from . import pyrt
 
 __all__ = ["CompiledDesign", "compile_design", "attr_name"]
@@ -486,21 +486,6 @@ class _ExprCompiler:
             call = f"self.{self.c.function_name(name)}(" \
                 + ", ".join(args) + ")"
         return self._coerce(call, fn.ret_width, fn.ret_signed, ctx, signed)
-
-
-def _lvalue_names(lhs: ast.Expr) -> List[str]:
-    """The variables an l-value writes."""
-    out = []
-    stack = [lhs]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.Ident):
-            out.append(node.name)
-        elif isinstance(node, (ast.IndexExpr, ast.RangeExpr)):
-            stack.append(node.base)
-        elif isinstance(node, ast.Concat):
-            stack.extend(node.parts)
-    return out
 
 
 def _const_int(expr: ast.Expr) -> int:
@@ -1044,8 +1029,8 @@ class _DesignCompiler:
 
         writers: Dict[str, List[int]] = {}
         for i, a in enumerate(assigns):
-            for name in _lvalue_names(a.lhs):
-                writers.setdefault(name, []).append(i)
+            for ident in lvalue_idents(a.lhs):
+                writers.setdefault(ident.name, []).append(i)
         order: List[int] = []
         state = [0] * len(assigns)  # 0 new, 1 visiting, 2 done
         cyclic = False
@@ -1139,7 +1124,7 @@ class _DesignCompiler:
             e.emit(4, f"self.{attr} = {code}")
             e.emit(4, "self._dirty = True")
             return
-        snap = self._snapshot(_lvalue_names(lhs))
+        snap = self._snapshot(i.name for i in lvalue_idents(lhs))
         e.emit(3, f"_was = {snap}")
         stmts._store(lhs, tmp, ctx, 3, blocking=True)
         e.emit(3, f"if {snap} != _was:")

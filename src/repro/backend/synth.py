@@ -751,7 +751,7 @@ def synthesize(design: Design) -> Netlist:
     lower to pure LUT logic.  Registers assigned with ``<=`` in clocked
     blocks become flip-flops; everything else is combinational.
     """
-    from ..verilog.visitor import walk
+    from ..verilog.visitor import lvalue_idents, walk
     from .netlist import Cell, FF
 
     s = _Synth(design)
@@ -798,8 +798,8 @@ def synthesize(design: Design) -> Netlist:
     for block in seq_blocks:
         for node in walk(block):
             if isinstance(node, ast.NonblockingAssign):
-                for ident in _lvalue_bases(node.lhs):
-                    ff_targets.add(ident)
+                for ident in lvalue_idents(node.lhs):
+                    ff_targets.add(ident.name)
     ff_names: Dict[str, List[str]] = {}
     for name in sorted(ff_targets):
         var = design.vars.get(name)
@@ -877,15 +877,3 @@ def synthesize(design: Design) -> Netlist:
                               else var.name, net)
     return nl
 
-
-def _lvalue_bases(lhs: ast.Expr) -> List[str]:
-    if isinstance(lhs, ast.Ident):
-        return [lhs.name]
-    if isinstance(lhs, (ast.IndexExpr, ast.RangeExpr)):
-        return _lvalue_bases(lhs.base)
-    if isinstance(lhs, ast.Concat):
-        out = []
-        for p in lhs.parts:
-            out.extend(_lvalue_bases(p))
-        return out
-    return []

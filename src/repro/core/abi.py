@@ -126,17 +126,11 @@ class Engine(abc.ABC):
         return ()
 
     # -- optimisations (forward / open_loop) ---------------------------------
-    def supports_forwarding(self) -> bool:
-        return False
-
     def forward(self, inner: "Engine") -> None:
         """ABI forwarding (§4.3): absorb a standard component so this
         engine answers ABI requests on its behalf."""
         raise NotImplementedError(
             f"{type(self).__name__} does not support ABI forwarding")
-
-    def supports_open_loop(self) -> bool:
-        return False
 
     def open_loop(self, clock_port: str, steps: int) -> int:
         """Open-loop scheduling (§4.4): run up to ``steps`` full

@@ -37,9 +37,6 @@ class InterruptQueue:
     def __init__(self):
         self._queue: Deque[Interrupt] = deque()
 
-    def push(self, interrupt: Interrupt) -> None:
-        self._queue.append(interrupt)
-
     def push_display(self, text: str, newline: bool = True) -> None:
         self._queue.append(Interrupt(Interrupt.DISPLAY, (text, newline)))
 

@@ -1,12 +1,15 @@
 """The standalone reference simulator (the paper's iVerilog baseline).
 
-:class:`Simulator` drives one :class:`SoftwareEngine` with the reference
-scheduling algorithm of Figure 2: drain activated evaluation events,
-then activate update events, and when the queue is empty advance time to
-the next scheduled event (procedural delay).  Testbench-style programs
-(initial blocks, ``always #1 clk = ~clk`` clocks, $display/$finish) run
-to completion exactly as they would under an interpreted event-driven
-simulator.
+:class:`Simulator` flattens a source's hierarchy with the Cascade IR's
+Figure 4 transform (:func:`repro.ir.build.flatten`): internal names
+follow the IR (``l1.a`` becomes ``l1_a``), while top-level ports and
+``%m`` keep the top module's names.  It then drives one
+:class:`SoftwareEngine` with the reference scheduling algorithm of
+Figure 2: drain activated evaluation events, then activate update
+events, and when the queue is empty advance time to the next scheduled
+event (procedural delay).  Testbench-style programs (initial blocks,
+``always #1 clk = ~clk`` clocks, $display/$finish) run to completion
+exactly as they would under an interpreted event-driven simulator.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from typing import List, Optional
 
 from ..common.bits import Bits
 from ..common.errors import CascadeError
-from ..verilog.elaborate import Design, ModuleLibrary, elaborate
+from ..ir.build import flatten
+from ..verilog.elaborate import Design, ModuleLibrary
 from ..verilog.parser import parse_source
 from .engine import EngineServices, SoftwareEngine
 
@@ -80,8 +84,7 @@ class Simulator:
             top_module = candidates[-1] if candidates else src.modules[-1]
         else:
             top_module = library.get(top)
-        design = elaborate(top_module, library)
-        return cls(design, **kwargs)
+        return cls(flatten(top_module, library), **kwargs)
 
     # ------------------------------------------------------------------
     def _settle(self) -> None:
@@ -159,7 +162,7 @@ class Simulator:
 
 def simulate_source(text: str, top: Optional[str] = None,
                     max_time: int = 1_000_000) -> List[str]:
-    """Parse, elaborate and run; return the captured $display output."""
+    """Parse, flatten and run; return the captured $display output."""
     sim = Simulator.from_source(text, top)
     sim.run(max_time=max_time)
     return sim.output_lines

@@ -25,6 +25,13 @@ Standard-library components (Clock, Led, FIFO, ...) are *external*:
 they are never inlined, and their subprograms are realised by
 pre-compiled engines (:mod:`repro.stdlib.engines`) rather than by
 compiling their Verilog.
+
+This is the repository's only hierarchy flattener.  The runtime builds
+its program here, and :func:`flatten` serves the standalone simulator
+(:mod:`repro.interp.sim`): with every instance inlined, a hierarchy is
+one subprogram that :func:`~repro.verilog.elaborate.elaborate_leaf`
+turns into a design.  Instance parameters are bound and ranges resolved
+with the leaf elaborator's own rules.
 """
 
 from __future__ import annotations
@@ -35,71 +42,31 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..common.bits import Bits
 from ..common.errors import ElaborationError, TypeError_
 from ..verilog import ast
-from ..verilog.elaborate import ModuleLibrary
+from ..verilog.elaborate import (Design, ModuleLibrary, bind_params,
+                                 elaborate_leaf, resolve_range, subst_params)
 from ..verilog.eval import const_eval
-from ..verilog.visitor import map_exprs, walk
+from ..verilog.visitor import lvalue_idents, map_exprs, walk
 
 __all__ = ["Instance", "Net", "Subprogram", "IRProgram", "build_ir",
-           "instance_var_table", "VarSig"]
+           "flatten", "instance_var_table", "VarSig"]
 
 
 class VarSig:
     """Width/signedness signature of one variable inside an instance."""
 
-    __slots__ = ("width", "signed", "direction", "is_array", "net_kind")
+    __slots__ = ("width", "signed", "direction", "is_array", "net_kind",
+                 "msb", "lsb")
 
     def __init__(self, width: int, signed: bool,
                  direction: Optional[str] = None, is_array: bool = False,
-                 net_kind: str = "wire"):
+                 net_kind: str = "wire", msb: int = 0, lsb: int = 0):
         self.width = width
         self.signed = signed
         self.direction = direction
         self.is_array = is_array
         self.net_kind = net_kind
-
-
-def _bind_params(module: ast.Module,
-                 overrides: Dict[str, Bits]) -> Dict[str, Bits]:
-    """Resolve a module's parameters given override values."""
-    params: Dict[str, Bits] = {}
-    for item in module.items:
-        if not isinstance(item, ast.ParamDecl):
-            continue
-        if not item.local and item.name in overrides:
-            value = overrides[item.name]
-        else:
-            expr = _subst_params(copy.deepcopy(item.value), params)
-            value = const_eval(expr)
-        if item.range_ is not None:
-            rng = copy.deepcopy(item.range_)
-            _subst_params(rng, params)
-            width = abs(const_eval(rng.msb).to_int_xz()
-                        - const_eval(rng.lsb).to_int_xz()) + 1
-            value = value.as_signed() if item.signed else value.as_unsigned()
-            value = value.extend(width) if value.width < width \
-                else value.resize(width)
-        params[item.name] = value
-    return params
-
-
-def _subst_params(node: ast.Node, params: Dict[str, Bits]) -> ast.Node:
-    def fn(e: ast.Expr) -> ast.Expr:
-        if isinstance(e, ast.Ident) and len(e.parts) == 1 \
-                and e.parts[0] in params:
-            v = params[e.parts[0]]
-            return ast.Number(v, v.to_verilog(), True, loc=e.loc)
-        return e
-    return map_exprs(node, fn)
-
-
-def _resolve_width(range_: Optional[ast.Range],
-                   params: Dict[str, Bits]) -> int:
-    if range_ is None:
-        return 1
-    rng = copy.deepcopy(range_)
-    _subst_params(rng, params)
-    return abs(const_eval(rng.msb).to_int_xz()
-               - const_eval(rng.lsb).to_int_xz()) + 1
+        self.msb = msb   # the declared range, kept so bit selects such
+        self.lsb = lsb   # as ``a[1]`` of ``[8:1] a`` survive flattening
 
 
 def instance_var_table(module: ast.Module,
@@ -107,23 +74,30 @@ def instance_var_table(module: ast.Module,
     """Variable signatures for one instance (ports and nets)."""
     table: Dict[str, VarSig] = {}
     for port in module.ports:
-        table[port.name] = VarSig(_resolve_width(port.range_, params),
-                                  port.signed, port.direction,
-                                  net_kind=port.net_kind)
+        width, msb, lsb = resolve_range(port.range_, params,
+                                        f"port {port.name!r}")
+        table[port.name] = VarSig(width, port.signed, port.direction,
+                                  False, port.net_kind, msb, lsb)
     for item in module.items:
         if not isinstance(item, ast.NetDecl):
             continue
-        width = 32 if item.kind == "integer" \
-            else _resolve_width(item.range_, params)
+        width, msb, lsb = (32, 31, 0) if item.kind == "integer" else \
+            resolve_range(item.range_, params, f"declaration at {item.loc}")
         kind = "reg" if item.kind in ("reg", "integer", "genvar") \
             else "wire"
         for decl in item.decls:
-            if decl.name in table:
-                if kind == "reg":
-                    table[decl.name].net_kind = "reg"
+            sig = table.get(decl.name)
+            if sig is None:
+                table[decl.name] = VarSig(width, item.signed, None,
+                                          bool(decl.dims), kind, msb, lsb)
                 continue
-            table[decl.name] = VarSig(width, item.signed, None,
-                                      bool(decl.dims), kind)
+            if kind == "reg":
+                sig.net_kind = "reg"
+            if sig.direction is not None and item.range_ is not None:
+                # A non-ANSI redeclaration sets a port's width, as in
+                # elaborate_leaf.
+                sig.width, sig.msb, sig.lsb = width, msb, lsb
+            sig.signed = sig.signed or item.signed
     return table
 
 
@@ -142,10 +116,6 @@ class Instance:
         self.connections = connections  # port -> expr in parent's scope
         self.children: Dict[str, "Instance"] = {}
         self.vars = instance_var_table(module, params)
-
-    @property
-    def path_str(self) -> str:
-        return ".".join(self.path) if self.path else "<root>"
 
     def resolve(self, parts: Sequence[str]
                 ) -> Optional[Tuple["Instance", str]]:
@@ -247,7 +217,7 @@ def _build_tree(root_module: ast.Module, library: ModuleLibrary,
         if depth > 64:
             raise ElaborationError("instantiation depth exceeds 64",
                                    module.loc)
-        params = _bind_params(module, overrides)
+        params = bind_params(module, overrides)
         inst = Instance(path, module, params,
                         module.name in external, parent, connections)
         if inst.external:
@@ -272,6 +242,8 @@ def _build_tree(root_module: ast.Module, library: ModuleLibrary,
 
 def _eval_overrides(item: ast.Instantiation, child: ast.Module,
                     params: Dict[str, Bits]) -> Dict[str, Bits]:
+    """The child's parameter overrides, evaluated in the parent's
+    constant context (unknown names are rejected by bind_params)."""
     overrides: Dict[str, Bits] = {}
     if not item.param_overrides:
         return overrides
@@ -282,18 +254,23 @@ def _eval_overrides(item: ast.Instantiation, child: ast.Module,
         raise ElaborationError(
             "cannot mix positional and named parameter overrides",
             item.loc)
+    if len(positional) > len(names):
+        raise ElaborationError(
+            f"too many parameter overrides for {item.module_name!r}",
+            item.loc)
     pairs = zip(names, positional) if positional else \
         ((c.name, c) for c in item.param_overrides)
     for name, conn in pairs:
         if conn.expr is None:
             continue
-        expr = _subst_params(copy.deepcopy(conn.expr), params)
+        expr = subst_params(copy.deepcopy(conn.expr), params)
         overrides[name] = const_eval(expr)
     return overrides
 
 
 def _map_connections(item: ast.Instantiation, child: ast.Module
                      ) -> Dict[str, Optional[ast.Expr]]:
+    """Child port name -> connected expression in the parent's scope."""
     port_names = [p.name for p in child.ports]
     conns: Dict[str, Optional[ast.Expr]] = {}
     positional = [c for c in item.connections if c.name is None]
@@ -354,6 +331,13 @@ def _num(value: int) -> ast.Number:
     return ast.Number(bits, str(value), False)
 
 
+def _range(sig: VarSig) -> Optional[ast.Range]:
+    """A signature's declared range as constants (none for ``[0:0]``)."""
+    if sig.msb == sig.lsb == 0:
+        return None
+    return ast.Range(_num(sig.msb), _num(sig.lsb))
+
+
 def _is_lvalue(expr: ast.Expr) -> bool:
     if isinstance(expr, ast.Ident):
         return True
@@ -362,19 +346,6 @@ def _is_lvalue(expr: ast.Expr) -> bool:
     if isinstance(expr, ast.Concat):
         return all(_is_lvalue(p) for p in expr.parts)
     return False
-
-
-def _lvalue_base_idents(lhs: ast.Expr) -> List[ast.Ident]:
-    if isinstance(lhs, ast.Ident):
-        return [lhs]
-    if isinstance(lhs, (ast.IndexExpr, ast.RangeExpr)):
-        return _lvalue_base_idents(lhs.base)
-    if isinstance(lhs, ast.Concat):
-        out = []
-        for p in lhs.parts:
-            out.extend(_lvalue_base_idents(p))
-        return out
-    return []
 
 
 class _GroupBuilder:
@@ -390,6 +361,8 @@ class _GroupBuilder:
         self.ports: List[ast.Port] = []
         self.port_dirs: Dict[str, str] = {}
         self.items: List[ast.Item] = []
+        # (member id, port) -> a non-leader port's local declarator
+        self.port_decls: Dict[Tuple[int, str], ast.Declarator] = {}
         self.sub = Subprogram(_sub_name(leader), None, False,
                               leader.module.name, dict(leader.params))
 
@@ -431,9 +404,8 @@ class _GroupBuilder:
         base = "_".join((*owner.path, var))
         name = self.fresh_name(base)
         io = "output" if direction == "out" else "input"
-        rng = ast.Range(_num(sig.width - 1), _num(0)) \
-            if sig.width > 1 else None
-        self.ports.append(ast.Port(name, io, "wire", sig.signed, rng))
+        self.ports.append(ast.Port(name, io, "wire", sig.signed,
+                                   _range(sig)))
         self.port_dirs[name] = io
         self.program.bind(self.sub, name, net, direction)
         return name
@@ -450,13 +422,12 @@ class _GroupBuilder:
         if is_leader:
             # The leader's declared ports remain real subprogram ports.
             for port in copy.deepcopy(inst.module.ports):
-                _subst_params(port, inst.params)
+                subst_params(port, inst.params)
+                sig = inst.vars[port.name]
                 if port.range_ is not None:
-                    width = _resolve_width(port.range_, inst.params)
-                    port.range_ = ast.Range(_num(width - 1), _num(0))
+                    port.range_ = _range(sig)
                 self.ports.append(port)
                 self.port_dirs[port.name] = port.direction
-                sig = inst.vars[port.name]
                 net = self.program.net(_net_name(inst, port.name),
                                        sig.width, sig.signed)
                 self.program.bind(
@@ -467,16 +438,16 @@ class _GroupBuilder:
             for port in inst.module.ports:
                 name = self.local_name(inst, port.name)
                 sig = inst.vars[port.name]
-                rng = ast.Range(_num(sig.width - 1), _num(0)) \
-                    if sig.width > 1 else None
                 kind = "reg" if sig.net_kind == "reg" else "wire"
                 init = None
                 if port.init is not None and kind == "reg":
-                    init = _subst_params(copy.deepcopy(port.init),
-                                         inst.params)
+                    init = subst_params(copy.deepcopy(port.init),
+                                        inst.params)
+                decl = ast.Declarator(name, (), init)
+                self.port_decls[(id(inst), port.name)] = decl
                 self.items.append(ast.NetDecl(
-                    kind, sig.signed, rng,
-                    [ast.Declarator(name, (), init)], inst.module.loc))
+                    kind, sig.signed, _range(sig), [decl],
+                    inst.module.loc))
 
         for item in items:
             if isinstance(item, ast.ParamDecl):
@@ -484,10 +455,10 @@ class _GroupBuilder:
             if isinstance(item, ast.Instantiation):
                 self._lower_instantiation(inst, item)
                 continue
-            _subst_params(item, inst.params)
             if isinstance(item, ast.FunctionDecl):
                 self._process_function(inst, item)
                 continue
+            subst_params(item, inst.params)
             self._lower_hierarchical_writes(inst, item)
             self._rename(inst, item)
             if isinstance(item, ast.NetDecl):
@@ -499,14 +470,20 @@ class _GroupBuilder:
                        is_leader: bool) -> None:
         keep: List[ast.Declarator] = []
         for decl in item.decls:
-            new_name = self.local_name(inst, decl.name)
             if is_leader and decl.name in self.port_dirs:
                 # Non-ANSI reg/width redeclaration of a port: keep it so
                 # elaborate_leaf merges the attributes.
-                decl.name = decl.name
                 keep.append(decl)
                 continue
-            decl.name = new_name
+            port_decl = self.port_decls.get((id(inst), decl.name))
+            if port_decl is not None:
+                # The same redeclaration in a non-leader: the port's
+                # local already has the merged signature; it takes only
+                # the initializer.
+                if decl.init is not None:
+                    port_decl.init = decl.init
+                continue
+            decl.name = self.local_name(inst, decl.name)
             keep.append(decl)
         if keep:
             item.decls = keep
@@ -518,6 +495,8 @@ class _GroupBuilder:
         local.update(p.name for p in item.ports)
         for decl_item in item.locals_:
             local.update(d.name for d in decl_item.decls)
+        # Ports and locals shadow the module's parameters and variables.
+        subst_params(item, inst.params, frozenset(local))
         self._rename(inst, item, frozenset(local))
         old = item.name
         new_name = self.local_name(inst, old)
@@ -542,7 +521,7 @@ class _GroupBuilder:
             conn = child.connections.get(port.name)
             if conn is None:
                 continue
-            expr = _subst_params(copy.deepcopy(conn), inst.params)
+            expr = subst_params(copy.deepcopy(conn), inst.params)
             if port.direction == "output":
                 if not _is_lvalue(expr):
                     raise ElaborationError(
@@ -581,7 +560,7 @@ class _GroupBuilder:
 
     def _lower_hierarchical_writes_lhs(self, inst: Instance,
                                        lhs: ast.Expr) -> None:
-        for ident in _lvalue_base_idents(lhs):
+        for ident in lvalue_idents(lhs):
             if len(ident.parts) == 1:
                 continue
             resolved = inst.resolve(ident.parts)
@@ -674,14 +653,12 @@ def _promote_internal_outputs(program: IRProgram,
             if inst is None or id(inst) not in builder.member_set:
                 continue
             local = builder.local_names.get((id(inst), var))
-            if local is None:
-                continue
+            if local is None or local in builder.port_dirs:
+                continue  # not this group's, or the leader's own input
             sig = inst.vars[var]
-            rng = ast.Range(_num(sig.width - 1), _num(0)) \
-                if sig.width > 1 else None
             module = builder.sub.module_ast
             module.ports.append(
-                ast.Port(local, "output", "wire", sig.signed, rng))
+                ast.Port(local, "output", "wire", sig.signed, _range(sig)))
             program.bind(builder.sub, local, net, "out")
             break
 
@@ -752,3 +729,12 @@ def build_ir(root_module: ast.Module, library: ModuleLibrary,
 
     _promote_internal_outputs(program, builders)
     return program
+
+
+def flatten(top: ast.Module, library: ModuleLibrary) -> Design:
+    """Flatten ``top``'s whole hierarchy into one elaborated design (the
+    standalone simulator's input); ``%m`` prints ``top``'s name."""
+    [sub] = build_ir(top, library, inlined=True).user_subprograms()
+    design = elaborate_leaf(sub.module_ast)
+    design.name = top.name
+    return design

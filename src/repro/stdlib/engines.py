@@ -193,9 +193,6 @@ class PadEngine(StdlibEngine):
     def end_step(self) -> None:
         self._set("val", self.board.pad.value)
 
-    def refresh(self) -> None:
-        self._set("val", self.board.pad.value)
-
 
 class LedEngine(StdlibEngine):
     """LEDs: input changes become visible board side effects."""

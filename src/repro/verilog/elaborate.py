@@ -1,24 +1,21 @@
-"""Elaboration: parsed modules -> flat, parameter-free designs.
+"""Leaf elaboration: one parsed module -> a flat, parameter-free design.
 
-Elaboration performs, in one place, the tasks that Cascade's IR layer
-relies on (paper §3.3):
+Elaboration turns a single module without instantiations (a Cascade IR
+subprogram, or a standalone leaf module) into the :class:`Design` that
+engines execute:
 
 * parameter binding and substitution (``#(...)`` overrides),
 * range resolution (every width becomes a concrete integer),
-* hierarchy flattening with dotted-prefix naming — nested instantiations
-  are replaced by continuous assignments between parent expressions and
-  the child's promoted port variables, exactly the Figure 4
-  transformation,
 * registration of functions, processes and continuous assigns against a
   flat variable table,
 * width annotation of every expression (:mod:`repro.verilog.widths`),
   which is where sizing errors such as undeclared names surface.
 
-:func:`elaborate` flattens a whole hierarchy into a single
-:class:`Design` (this is what the reference simulator and the baseline
-"iVerilog" engine execute).  :func:`elaborate_leaf` elaborates a single
-module without descending into instantiations (the Cascade IR calls this
-per-subprogram after its own flattening).
+It does no hierarchy flattening: the paper's Figure 4 transform lives in
+:mod:`repro.ir.build` alone, whose ``flatten`` also serves the
+standalone simulator.  The IR binds each instance's parameters and
+resolves its ranges with this module's :func:`bind_params`,
+:func:`resolve_range` and :func:`subst_params`.
 """
 
 from __future__ import annotations
@@ -33,8 +30,8 @@ from .eval import const_eval
 from .visitor import map_exprs
 from .widths import annotate_design
 
-__all__ = ["Var", "Function", "Design", "ModuleLibrary", "elaborate",
-           "elaborate_leaf"]
+__all__ = ["Var", "Function", "Design", "ModuleLibrary", "bind_params",
+           "resolve_range", "subst_params", "elaborate_leaf"]
 
 MAX_WIDTH = 1 << 20  # sanity bound on declared widths
 
@@ -123,12 +120,6 @@ class Design:
                                    var.loc)
         self.vars[var.name] = var
 
-    def inputs(self) -> List[Var]:
-        return [v for v in self.vars.values() if v.direction == "input"]
-
-    def outputs(self) -> List[Var]:
-        return [v for v in self.vars.values() if v.direction == "output"]
-
     def stats(self) -> Dict[str, int]:
         """Aggregate statistics (used by the class-study analysis)."""
         from .visitor import find_all
@@ -170,43 +161,34 @@ class ModuleLibrary:
             raise ElaborationError(f"unknown module {name!r}", loc) \
                 from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.modules
-
 
 # ----------------------------------------------------------------------
-# Expression rewriting: parameter substitution + prefixing
+# Parameter and range rules (shared with the IR's instance tree)
 # ----------------------------------------------------------------------
-def _rewrite(node: ast.Node, params: Dict[str, Bits], prefix: str,
-             local_names: frozenset = frozenset()) -> ast.Node:
-    """Substitute parameters and apply the instance prefix, in place;
-    returns the (possibly replaced) root for expression nodes."""
+def subst_params(node: ast.Node, params: Dict[str, Bits],
+                 local_names: frozenset = frozenset()) -> ast.Node:
+    """Replace parameter references with their values, in place; returns
+    the (possibly replaced) root for expression nodes.  Names in
+    ``local_names`` (function ports and locals) shadow parameters."""
 
     def fn(e: ast.Expr) -> ast.Expr:
-        if isinstance(e, ast.Ident):
-            head = e.parts[0]
-            if head in local_names:
-                return e
-            if len(e.parts) == 1 and head in params:
-                value = params[head]
+        if isinstance(e, ast.Ident) and len(e.parts) == 1:
+            name = e.parts[0]
+            if name in params and name not in local_names:
+                value = params[name]
                 return ast.Number(value, value.to_verilog(), True, loc=e.loc)
-            if prefix:
-                return ast.Ident((*prefix.split("."), *e.parts), e.loc)
-            return e
-        if isinstance(e, ast.Call) and not e.name.startswith("$"):
-            if e.name not in local_names and prefix:
-                e.name = f"{prefix}.{e.name}"
-            return e
         return e
 
     return map_exprs(node, fn)
 
 
-def _resolve_range(range_: Optional[ast.Range],
-                   what: str) -> Tuple[int, int, int]:
-    """(width, msb, lsb) of a resolved range; defaults to 1 bit."""
+def resolve_range(range_: Optional[ast.Range], params: Dict[str, Bits],
+                  what: str) -> Tuple[int, int, int]:
+    """(width, msb, lsb) of a declared range under ``params``; no range
+    is one bit."""
     if range_ is None:
         return 1, 0, 0
+    range_ = subst_params(copy.deepcopy(range_), params)
     msb_v = const_eval(range_.msb)
     lsb_v = const_eval(range_.lsb)
     if msb_v.has_xz or lsb_v.has_xz:
@@ -220,67 +202,86 @@ def _resolve_range(range_: Optional[ast.Range],
     return width, msb, lsb
 
 
+def _fit(value: Bits, width: int, signed: bool) -> Bits:
+    """A constant sized to the variable or parameter it initializes."""
+    value = value.as_signed() if signed else value.as_unsigned()
+    return value.extend(width) if value.width < width \
+        else value.resize(width)
+
+
+def bind_params(module: ast.Module,
+                overrides: Dict[str, Bits]) -> Dict[str, Bits]:
+    """Resolve a module's parameters in declaration order; ``overrides``
+    may set only its non-local ones."""
+    params: Dict[str, Bits] = {}
+    declared = set()
+    for item in module.items:
+        if not isinstance(item, ast.ParamDecl):
+            continue
+        if not item.local:
+            declared.add(item.name)
+        if not item.local and item.name in overrides:
+            value = overrides[item.name]
+        else:
+            value = const_eval(subst_params(copy.deepcopy(item.value),
+                                            params))
+        if item.range_ is not None:
+            width, _, _ = resolve_range(item.range_, params,
+                                        f"parameter {item.name!r}")
+            value = _fit(value, width, item.signed)
+        params[item.name] = value
+    unknown = set(overrides) - declared
+    if unknown:
+        raise ElaborationError(
+            f"module {module.name!r} has no parameter(s) "
+            f"{sorted(unknown)}", module.loc)
+    return params
+
+
 # ----------------------------------------------------------------------
-# The elaborator
+# The leaf elaborator
 # ----------------------------------------------------------------------
 class _Elaborator:
-    def __init__(self, library: ModuleLibrary, recurse: bool,
-                 max_depth: int = 64):
-        self.library = library
-        self.recurse = recurse
-        self.max_depth = max_depth
+    def __init__(self, design: Design, params: Dict[str, Bits]):
+        self.design = design
+        self.params = params
 
-    def elaborate(self, module: ast.Module, design: Design, prefix: str,
-                  overrides: Dict[str, Bits], depth: int = 0) -> None:
-        if depth > self.max_depth:
-            raise ElaborationError(
-                f"instantiation depth exceeds {self.max_depth} "
-                "(recursive module?)", module.loc)
+    def elaborate(self, module: ast.Module) -> None:
+        design, params = self.design, self.params
         items = copy.deepcopy(module.items)
-        ports = copy.deepcopy(module.ports)
-
-        params = self._bind_params(items, overrides, module)
-        if not prefix:
-            design.params.update(params)
 
         # Declare ports and nets.
-        port_dirs: Dict[str, str] = {}
-        for port in ports:
-            width, msb, lsb = _resolve_range(
-                self._subst_range(port.range_, params),
-                f"port {port.name!r}")
+        for port in module.ports:
+            width, msb, lsb = resolve_range(port.range_, params,
+                                            f"port {port.name!r}")
             init = None
             if port.init is not None and port.net_kind == "reg":
-                expr = _rewrite(copy.deepcopy(port.init), params, "")
-                value = const_eval(expr)
-                value = value.as_signed() if port.signed \
-                    else value.as_unsigned()
-                init = value.extend(width) if value.width < width \
-                    else value.resize(width)
-            design.add_var(Var(self._full(prefix, port.name), port.net_kind,
-                               width, port.signed, msb, lsb, port.direction,
-                               init, None, port.loc))
-            port_dirs[port.name] = port.direction
+                init = _fit(const_eval(subst_params(
+                    copy.deepcopy(port.init), params)), width, port.signed)
+            design.add_var(Var(port.name, port.net_kind, width, port.signed,
+                               msb, lsb, port.direction, init, None,
+                               port.loc))
 
         for item in items:
             if isinstance(item, ast.NetDecl):
-                self._declare_net(item, design, prefix, params)
+                self._declare_net(item)
 
         # Functions next (bodies may be referenced by any process).
-        local_funcs = [i for i in items if isinstance(i, ast.FunctionDecl)]
-        for fn in local_funcs:
-            self._declare_function(fn, design, prefix, params)
+        for item in items:
+            if isinstance(item, ast.FunctionDecl):
+                self._declare_function(item)
 
-        # Behaviour: rewrite and register.
+        # Behaviour: substitute parameters and register.
         for item in items:
             if isinstance(item, (ast.NetDecl, ast.ParamDecl,
                                  ast.FunctionDecl)):
                 continue
             if isinstance(item, ast.Instantiation):
-                self._elaborate_instance(item, design, prefix, params,
-                                         depth)
-                continue
-            _rewrite(item, params, prefix)
+                raise ElaborationError(
+                    f"unexpected instantiation {item.inst_name!r} in leaf "
+                    "elaboration (the IR should have flattened it)",
+                    item.loc)
+            subst_params(item, params)
             if isinstance(item, ast.ContinuousAssign):
                 design.assigns.append(item)
             elif isinstance(item, ast.AlwaysBlock):
@@ -296,74 +297,29 @@ class _Elaborator:
         # continuous assigns (wire w = expr).
         for item in items:
             if isinstance(item, ast.NetDecl):
-                self._apply_initializers(item, design, prefix, params)
+                self._apply_initializers(item)
 
     # ------------------------------------------------------------------
-    def _full(self, prefix: str, name: str) -> str:
-        return f"{prefix}.{name}" if prefix else name
-
-    def _subst_range(self, range_: Optional[ast.Range],
-                     params: Dict[str, Bits]) -> Optional[ast.Range]:
-        if range_ is None:
-            return None
-        r = copy.deepcopy(range_)
-        _rewrite(r, params, "")
-        return r
-
-    def _bind_params(self, items: List[ast.Item],
-                     overrides: Dict[str, Bits],
-                     module: ast.Module) -> Dict[str, Bits]:
-        params: Dict[str, Bits] = {}
-        declared = set()
-        for item in items:
-            if not isinstance(item, ast.ParamDecl):
-                continue
-            if not item.local:
-                declared.add(item.name)
-            if not item.local and item.name in overrides:
-                value = overrides[item.name]
-            else:
-                expr = _rewrite(copy.deepcopy(item.value), params, "")
-                value = const_eval(expr)
-            if item.range_ is not None:
-                width, _, _ = _resolve_range(
-                    self._subst_range(item.range_, params),
-                    f"parameter {item.name!r}")
-                value = (value.as_signed() if item.signed
-                         else value.as_unsigned())
-                value = value.extend(width) if value.width < width \
-                    else value.resize(width)
-            params[item.name] = value
-        unknown = set(overrides) - declared
-        if unknown:
-            raise ElaborationError(
-                f"module {module.name!r} has no parameter(s) "
-                f"{sorted(unknown)}", module.loc)
-        return params
-
-    def _declare_net(self, item: ast.NetDecl, design: Design, prefix: str,
-                     params: Dict[str, Bits]) -> None:
+    def _declare_net(self, item: ast.NetDecl) -> None:
+        design = self.design
         kind = {"integer": "reg", "genvar": "reg", "tri": "wire",
                 "supply0": "wire", "supply1": "wire"}.get(item.kind,
                                                           item.kind)
-        width, msb, lsb = _resolve_range(
-            self._subst_range(item.range_, params),
-            f"declaration at {item.loc}")
+        width, msb, lsb = resolve_range(item.range_, self.params,
+                                        f"declaration at {item.loc}")
         for decl in item.decls:
-            full = self._full(prefix, decl.name)
             array = None
             if decl.dims:
                 if len(decl.dims) > 1:
                     raise ElaborationError(
                         "multi-dimensional arrays are not supported",
                         decl.loc)
-                _, a_msb, a_lsb = _resolve_range(
-                    self._subst_range(decl.dims[0], params),
-                    f"array {decl.name!r}")
+                _, a_msb, a_lsb = resolve_range(
+                    decl.dims[0], self.params, f"array {decl.name!r}")
                 nwords = abs(a_msb - a_lsb) + 1
                 array = (nwords, a_msb, a_lsb)
-            if full in design.vars:
-                existing = design.vars[full]
+            if decl.name in design.vars:
+                existing = design.vars[decl.name]
                 # A net decl may re-declare a port to set reg-ness/width.
                 if existing.direction is not None and array is None:
                     existing.kind = kind if kind == "reg" else existing.kind
@@ -372,171 +328,63 @@ class _Elaborator:
                             width, msb, lsb
                     existing.signed = existing.signed or item.signed
                     continue
-                raise ElaborationError(f"duplicate declaration of {full!r}",
-                                       decl.loc)
-            design.add_var(Var(full, kind, width, item.signed, msb, lsb,
+                raise ElaborationError(
+                    f"duplicate declaration of {decl.name!r}", decl.loc)
+            design.add_var(Var(decl.name, kind, width, item.signed, msb, lsb,
                                None, None, array, decl.loc))
             if item.kind == "supply0":
-                design.vars[full].init = Bits.zeros(width)
+                design.vars[decl.name].init = Bits.zeros(width)
             elif item.kind == "supply1":
-                design.vars[full].init = Bits.ones(width)
+                design.vars[decl.name].init = Bits.ones(width)
 
-    def _apply_initializers(self, item: ast.NetDecl, design: Design,
-                            prefix: str, params: Dict[str, Bits]) -> None:
+    def _apply_initializers(self, item: ast.NetDecl) -> None:
         for decl in item.decls:
             if decl.init is None:
                 continue
-            full = self._full(prefix, decl.name)
-            var = design.vars[full]
-            expr = _rewrite(copy.deepcopy(decl.init), params, prefix)
+            var = self.design.vars[decl.name]
+            expr = subst_params(copy.deepcopy(decl.init), self.params)
             if var.kind == "reg":
-                value = const_eval(expr)
-                value = value.as_signed() if var.signed \
-                    else value.as_unsigned()
-                var.init = value.extend(var.width) \
-                    if value.width < var.width else value.resize(var.width)
+                var.init = _fit(const_eval(expr), var.width, var.signed)
             else:
-                design.assigns.append(ast.ContinuousAssign(
-                    ast.Ident(full.split("."), decl.loc), expr, decl.loc))
+                self.design.assigns.append(ast.ContinuousAssign(
+                    ast.Ident((decl.name,), decl.loc), expr, decl.loc))
 
-    def _declare_function(self, fn: ast.FunctionDecl, design: Design,
-                          prefix: str, params: Dict[str, Bits]) -> None:
-        ret_width, _, _ = _resolve_range(
-            self._subst_range(fn.range_, params), f"function {fn.name!r}")
+    def _declare_function(self, fn: ast.FunctionDecl) -> None:
+        params = self.params
+        ret_width, _, _ = resolve_range(fn.range_, params,
+                                        f"function {fn.name!r}")
         ports = []
         local_names = {fn.name}
         for p in fn.ports:
-            width, _, _ = _resolve_range(
-                self._subst_range(p.range_, params),
-                f"function input {p.name!r}")
+            width, _, _ = resolve_range(p.range_, params,
+                                        f"function input {p.name!r}")
             ports.append((p.name, width, p.signed))
             local_names.add(p.name)
         locals_ = []
         for decl_item in fn.locals_:
-            width, _, _ = _resolve_range(
-                self._subst_range(decl_item.range_, params),
-                "function local")
+            width, _, _ = resolve_range(decl_item.range_, params,
+                                        "function local")
             for d in decl_item.decls:
                 locals_.append((d.name, width, decl_item.signed))
                 local_names.add(d.name)
-        body = copy.deepcopy(fn.body)
-        _rewrite(body, params, prefix, frozenset(local_names))
-        full = self._full(prefix, fn.name)
-        if full in design.functions:
-            raise ElaborationError(f"duplicate function {full!r}", fn.loc)
-        design.functions[full] = Function(full, ret_width, fn.signed,
-                                          ports, locals_, body, fn.loc)
-
-    def _elaborate_instance(self, inst: ast.Instantiation, design: Design,
-                            prefix: str, params: Dict[str, Bits],
-                            depth: int) -> None:
-        if not self.recurse:
-            raise ElaborationError(
-                f"unexpected instantiation {inst.inst_name!r} in leaf "
-                "elaboration (the IR should have flattened it)", inst.loc)
-        child = self.library.get(inst.module_name, inst.loc)
-        child_prefix = self._full(prefix, inst.inst_name)
-
-        # Evaluate parameter overrides in the parent's constant context.
-        overrides: Dict[str, Bits] = {}
-        if inst.param_overrides:
-            names = [i.name for i in child.items
-                     if isinstance(i, ast.ParamDecl) and not i.local]
-            positional = [c for c in inst.param_overrides if c.name is None]
-            if positional and len(positional) != len(inst.param_overrides):
-                raise ElaborationError(
-                    "cannot mix positional and named parameter overrides",
-                    inst.loc)
-            if positional:
-                if len(positional) > len(names):
-                    raise ElaborationError(
-                        f"too many parameter overrides for "
-                        f"{inst.module_name!r}", inst.loc)
-                pairs = zip(names, positional)
-            else:
-                pairs = ((c.name, c) for c in inst.param_overrides)
-            for name, conn in pairs:
-                if conn.expr is None:
-                    continue
-                expr = _rewrite(copy.deepcopy(conn.expr), params, "")
-                overrides[name] = const_eval(expr)
-
-        # Connect ports: inputs become child_port = parent_expr; outputs
-        # become parent_lvalue = child_port (the Figure 4 flattening).
-        port_names = [p.name for p in child.ports]
-        conns: Dict[str, Optional[ast.Expr]] = {}
-        positional = [c for c in inst.connections if c.name is None]
-        if positional and len(positional) != len(inst.connections):
-            raise ElaborationError(
-                "cannot mix positional and named connections", inst.loc)
-        if positional:
-            if len(positional) > len(port_names):
-                raise ElaborationError(
-                    f"too many connections for {inst.module_name!r}",
-                    inst.loc)
-            for name, conn in zip(port_names, positional):
-                conns[name] = conn.expr
-        else:
-            for conn in inst.connections:
-                if conn.name not in port_names:
-                    raise ElaborationError(
-                        f"module {inst.module_name!r} has no port "
-                        f"{conn.name!r}", conn.loc)
-                conns[conn.name] = conn.expr
-
-        self.elaborate(child, design, child_prefix, overrides, depth + 1)
-
-        for port in child.ports:
-            expr = conns.get(port.name)
-            if expr is None:
-                continue
-            expr = _rewrite(copy.deepcopy(expr), params, prefix)
-            port_ident = ast.Ident(
-                self._full(child_prefix, port.name).split("."), inst.loc)
-            if port.direction == "input":
-                design.assigns.append(
-                    ast.ContinuousAssign(port_ident, expr, inst.loc))
-            elif port.direction == "output":
-                if not _is_lvalue(expr):
-                    raise ElaborationError(
-                        f"output port {port.name!r} must connect to an "
-                        "l-value", inst.loc)
-                design.assigns.append(
-                    ast.ContinuousAssign(expr, port_ident, inst.loc))
-            else:
-                raise ElaborationError("inout ports are not supported",
-                                       inst.loc)
-
-
-def _is_lvalue(expr: ast.Expr) -> bool:
-    if isinstance(expr, ast.Ident):
-        return True
-    if isinstance(expr, (ast.IndexExpr, ast.RangeExpr)):
-        return _is_lvalue(expr.base)
-    if isinstance(expr, ast.Concat):
-        return all(_is_lvalue(p) for p in expr.parts)
-    return False
+        body = subst_params(copy.deepcopy(fn.body), params,
+                            frozenset(local_names))
+        if fn.name in self.design.functions:
+            raise ElaborationError(f"duplicate function {fn.name!r}",
+                                   fn.loc)
+        self.design.functions[fn.name] = Function(
+            fn.name, ret_width, fn.signed, ports, locals_, body, fn.loc)
 
 
 # ----------------------------------------------------------------------
-# Public entry points
+# Public entry point
 # ----------------------------------------------------------------------
-def elaborate(top: ast.Module, library: Optional[ModuleLibrary] = None,
-              overrides: Optional[Dict[str, Bits]] = None) -> Design:
-    """Fully elaborate ``top``, flattening the whole hierarchy."""
-    design = Design(top.name)
-    _Elaborator(library or ModuleLibrary(), recurse=True).elaborate(
-        top, design, "", overrides or {})
-    annotate_design(design)
-    return design
-
-
 def elaborate_leaf(module: ast.Module,
                    overrides: Optional[Dict[str, Bits]] = None) -> Design:
     """Elaborate a single module; instantiations inside it are an error
     (Cascade's IR flattens hierarchy before engines see a subprogram)."""
     design = Design(module.name)
-    _Elaborator(ModuleLibrary(), recurse=False).elaborate(
-        module, design, "", overrides or {})
+    design.params = bind_params(module, overrides or {})
+    _Elaborator(design, design.params).elaborate(module)
     annotate_design(design)
     return design

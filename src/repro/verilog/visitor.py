@@ -22,6 +22,18 @@ def find_all(node: ast.Node, *types) -> List[ast.Node]:
     return [n for n in walk(node) if isinstance(n, types)]
 
 
+def lvalue_idents(lhs: ast.Expr) -> List[ast.Ident]:
+    """The base identifiers an l-value writes, left to right (``{a[1],
+    b[3:0]}`` writes ``a`` and ``b``)."""
+    if isinstance(lhs, ast.Ident):
+        return [lhs]
+    if isinstance(lhs, (ast.IndexExpr, ast.RangeExpr)):
+        return lvalue_idents(lhs.base)
+    if isinstance(lhs, ast.Concat):
+        return [i for part in lhs.parts for i in lvalue_idents(part)]
+    return []
+
+
 def map_exprs(node: ast.Node,
               fn: Callable[[ast.Expr], ast.Expr]) -> ast.Node:
     """Rewrite every expression-valued field in the subtree, bottom-up.

@@ -367,6 +367,17 @@ endmodule""", top="top")
         sim.step_clock("clk", 5)
         assert sim.peek_int("q") == 5
 
+    def test_module_path_is_the_top_name(self):
+        out = simulate_source("""
+module child;
+  initial $display("child in %m");
+endmodule
+module tb;
+  child c();
+  initial $display("tb in %m");
+endmodule""")
+        assert sorted(out) == ["child in tb", "tb in tb"]
+
     def test_finish_code(self):
         sim = Simulator.from_source("""
 module t;

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.common.errors import ElaborationError, TypeError_
+from repro.core.runtime import Runtime
+from repro.interp.sim import simulate_source
 from repro.ir.build import build_ir
 from repro.stdlib.components import STDLIB_MODULE_NAMES, stdlib_modules
 from repro.verilog import ast
@@ -216,6 +218,21 @@ assign clk.val = 1;
 
 
 class TestInternalVarPromotion:
+    def test_root_ports_declared_once(self):
+        """A root module with ports of its own (the standalone
+        simulator's top) keeps them as they are: each is declared once
+        and its inputs are read, not driven."""
+        library = make_library()
+        top = parse_module("""
+module top(input wire [7:0] a, output wire [7:0] y);
+  assign y = a + 1;
+endmodule""")
+        program = build_ir(top, library, inlined=True)
+        sub = program.subprograms["main"]
+        assert [p.name for p in sub.module_ast.ports] == ["a", "y"]
+        assert sub.bindings["a"][1] == "in"
+        assert sub.bindings["y"][1] == "out"
+
     def test_foreign_read_of_internal_reg(self):
         """Reading a child's internal register promotes it as an
         output of the child subprogram."""
@@ -235,3 +252,46 @@ assign probe = c.hidden;
         assert "main" in net.readers
         design = elaborate_leaf(program.subprograms["c"].module_ast)
         assert design.vars["hidden"].direction == "output"
+
+
+class TestLeafRulesSurviveFlattening:
+    """What the leaf elaborator keeps, the flattened program keeps:
+    declared port ranges, non-ANSI port redeclarations with their
+    initializers, and function locals that shadow a parameter."""
+
+    KID = """
+module Kid #(parameter N = 2)(a, b, y, z, q);
+  input [8:1] a;
+  input [0:3] b;
+  output [1:4] y;
+  output z;
+  output [7:0] q;
+  wire [7:0] z = f(a) << N;
+  reg [7:0] q = 8'd42;
+  function [7:0] f; input [7:0] v; reg [7:0] N; begin N = v; f = N + 1; end
+  endfunction
+  assign y = {a[1], a[8], b[0], b[3]};
+endmodule
+"""
+    ROOT = """
+  reg [8:1] a = 8'b1000_0011;
+  reg [0:3] b = 4'b1001;
+  wire [1:4] y;
+  wire [7:0] z, q;
+  Kid #(1) k(.a(a), .b(b), .y(y), .z(z), .q(q));
+"""
+    SHOW = '$display("%b %b %0d %0d", y, y[1], z, q);'
+    EXPECTED = ["1111 1 8 42"]
+
+    def test_standalone_simulator(self):
+        tb = f"module tb;{self.ROOT}initial #1 {self.SHOW}\nendmodule"
+        assert simulate_source(self.KID + tb) == self.EXPECTED
+
+    @pytest.mark.parametrize("inline", [True, False])
+    def test_runtime(self, inline):
+        rt = Runtime(enable_jit=False, inline_user_logic=inline)
+        rt.eval_source(self.KID)
+        rt.eval_source(self.ROOT + "always @(posedge clk.val) begin "
+                       + self.SHOW + " $finish; end")
+        rt.run(iterations=100, until_finish=True)
+        assert rt.output_lines == self.EXPECTED

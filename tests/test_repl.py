@@ -8,7 +8,8 @@ from repro.common.bits import Bits
 from repro.common.errors import ElaborationError
 from repro.core.repl import Repl
 from repro.core.runtime import Runtime
-from repro.verilog.elaborate import ModuleLibrary, elaborate
+from repro.ir.build import flatten
+from repro.verilog.elaborate import ModuleLibrary, elaborate_leaf
 from repro.verilog.parser import parse_source
 
 
@@ -171,8 +172,8 @@ module Top(input wire [3:0] x, output wire [3:0] y);
   Leaf l2(.a(mid), .b(y));
 endmodule""")
         library = ModuleLibrary(src.modules)
-        design = elaborate(library.get("Top"), library)
-        assert "l1.a" in design.vars and "l2.b" in design.vars
+        design = flatten(library.get("Top"), library)
+        assert "l1_a" in design.vars and "l2_b" in design.vars
 
     def test_parameter_defaults_and_dependent(self):
         src = parse_source("""
@@ -180,10 +181,10 @@ module P #(parameter W = 4, parameter D = W * 2)();
   wire [D-1:0] bus;
 endmodule""")
         library = ModuleLibrary(src.modules)
-        design = elaborate(library.get("P"), library)
+        design = elaborate_leaf(library.get("P"))
         assert design.vars["bus"].width == 8
-        design2 = elaborate(library.get("P"), library,
-                            {"W": Bits.from_int(3, 32)})
+        design2 = elaborate_leaf(library.get("P"),
+                                 {"W": Bits.from_int(3, 32)})
         assert design2.vars["bus"].width == 6
 
     def test_localparam_not_overridable(self):
@@ -193,8 +194,7 @@ module L();
 endmodule""")
         library = ModuleLibrary(src.modules)
         with pytest.raises(ElaborationError):
-            elaborate(library.get("L"), library,
-                      {"K": Bits.from_int(1, 32)})
+            elaborate_leaf(library.get("L"), {"K": Bits.from_int(1, 32)})
 
     def test_recursive_instantiation_bounded(self):
         src = parse_source("""
@@ -203,7 +203,7 @@ module R();
 endmodule""")
         library = ModuleLibrary(src.modules)
         with pytest.raises(ElaborationError):
-            elaborate(library.get("R"), library)
+            flatten(library.get("R"), library)
 
     def test_duplicate_declaration(self):
         src = parse_source("""
@@ -213,7 +213,7 @@ module D();
 endmodule""")
         library = ModuleLibrary(src.modules)
         with pytest.raises(ElaborationError):
-            elaborate(library.get("D"), library)
+            elaborate_leaf(library.get("D"))
 
     def test_stats(self):
         src = parse_source("""
@@ -228,7 +228,7 @@ module S(input wire clk);
   end
 endmodule""")
         library = ModuleLibrary(src.modules)
-        design = elaborate(library.get("S"), library)
+        design = elaborate_leaf(library.get("S"))
         stats = design.stats()
         assert stats["always_blocks"] == 2
         assert stats["nonblocking_assigns"] == 1
@@ -261,3 +261,18 @@ class TestSemanticErrorsAtEval:
         ticks = rt.virtual_clock_ticks
         repl.command(":run 8")
         assert rt.virtual_clock_ticks > ticks   # still running
+
+    @pytest.mark.parametrize("inline", [True, False])
+    @pytest.mark.parametrize("inst", [
+        "Foo #(.NOPE(3)) f(.y(z));",   # no such parameter
+        "Foo #(4, 5) f(.y(z));",       # more overrides than parameters
+    ])
+    def test_bad_parameter_override_admits_nothing(self, inst, inline):
+        rt = Runtime(enable_jit=False, inline_user_logic=inline)
+        rt.eval_source("module Foo #(parameter W = 2)"
+                       "(output wire [W-1:0] y); assign y = 1; endmodule")
+        rt.eval_source("wire [7:0] z;")
+        items = list(rt.root_items)
+        with pytest.raises(ElaborationError):
+            rt.eval_source(inst)
+        assert rt.root_items == items

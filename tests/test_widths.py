@@ -7,8 +7,9 @@ import pytest
 from repro.apps.pow import pow_program
 from repro.common.errors import TypeError_
 from repro.core.runtime import Runtime
+from repro.ir.build import flatten
 from repro.verilog import ast
-from repro.verilog.elaborate import ModuleLibrary, elaborate, elaborate_leaf
+from repro.verilog.elaborate import ModuleLibrary, elaborate_leaf
 from repro.verilog.parser import parse_module, parse_source
 from repro.verilog.visitor import walk
 
@@ -46,15 +47,15 @@ def test_every_expression_of_an_elaborated_design_is_annotated():
 def test_parse_time_trees_are_never_annotated():
     src = parse_source(PARAM_SRC)
     library = ModuleLibrary(src.modules)
-    design = elaborate(library.get("top"), library)
+    design = flatten(library.get("top"), library)
     for module in src.modules:
         assert all(n.ann is None for n in walk(module)
                    if isinstance(n, ast.Expr))
     # Each instance's copy carries its own parameterization's widths.
     operand = {a.lhs.name: a.rhs.lhs.ann for a in design.assigns
                if isinstance(a.rhs, ast.Binary)}
-    assert operand["narrow.y"] == (4, False, 32, False)
-    assert operand["wide.y"] == (8, False, 32, False)
+    assert operand["narrow_y"] == (4, False, 32, False)
+    assert operand["wide_y"] == (8, False, 32, False)
 
 
 def test_annotations_are_interned_and_pickle():
